@@ -1,0 +1,62 @@
+"""Golden byte guard: two fixed small runs must reproduce committed digests.
+
+The digests in fixtures/golden_digests.json were taken from the code as it
+stood before the refactors they guard. A change that alters any of these
+bytes must say so and regenerate the fixture on purpose:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+
+from conftest import FIXTURES, make_params
+from orf.experiment import ExperimentConfig, MogSource, run_all
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+DIGESTS = FIXTURES / "golden_digests.json"
+FILES = ("curves.csv", "splits.csv", "activations.csv", "forest.json.gz")
+
+# name -> hyperparameter overrides; "fringe" is bounded tightly enough that
+# activations.csv has rows
+CASES = {
+    "unbounded": dict(num_trees=3, m=5, beta_multiplier=50.0,
+                      master_seed=20130901),
+    "fringe": dict(num_trees=3, m=5, beta_multiplier=20.0,
+                   fringe_capacity=3, master_seed=20130920),
+}
+
+
+def run_digests(name, out_dir) -> dict:
+    config = ExperimentConfig(
+        hyperparams=make_params(**CASES[name]),
+        data=MogSource(str(REPO / "configs" / "mog5.json"), 300),
+        checkpoints=(300, 1500), runs=1, out_dir=str(out_dir),
+        probe_points=32, clip_sample=300)
+    run_all(config)
+    run_dir = pathlib.Path(out_dir) / "run00"
+    return {f: hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+            for f in FILES}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(name, tmp_path):
+    expected = json.loads(DIGESTS.read_text())[name]
+    assert run_digests(name, tmp_path / name) == expected
+
+
+def test_fringe_case_has_activations(tmp_path):
+    run_digests("fringe", tmp_path)
+    rows = (tmp_path / "run00" / "activations.csv").read_text().splitlines()
+    assert len(rows) > 1
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {n: run_digests(n, pathlib.Path(tmp) / n) for n in CASES}
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
