@@ -4,8 +4,7 @@ from orf.data import (Dataset, MixtureOfGaussians, MogComponent, ParseError,
                       parse_libsvm, stream_schedule)
 from orf.forest import OnlineForest
 from orf.tree import (CandidateSplit, ClassHistogram, Leaf, OnlineTree,
-                      best_split, can_split, entropy, information_gain,
-                      must_split, should_split, split_is_valid)
+                      entropy, information_gain, must_split)
 
 __all__ = [
     "HyperParams", "InvariantViolation", "LabeledPoint", "RngStream",
@@ -13,7 +12,6 @@ __all__ = [
     "Dataset", "MixtureOfGaussians", "MogComponent", "ParseError",
     "parse_libsvm", "stream_schedule",
     "OnlineForest",
-    "CandidateSplit", "ClassHistogram", "Leaf", "OnlineTree", "best_split",
-    "can_split", "entropy", "information_gain", "must_split", "should_split",
-    "split_is_valid",
+    "CandidateSplit", "ClassHistogram", "Leaf", "OnlineTree", "entropy",
+    "information_gain", "must_split",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import pathlib
 import sys
 
@@ -25,32 +24,23 @@ from orf.evaluation import (MissingArtifacts, consistency_report,
 from orf.experiment import ConfigError, DataError, ExperimentConfig, run_all
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("ORF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def cmd_train(args) -> int:
     try:
         config = ExperimentConfig.load(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(
-                config, hyperparams=dataclasses.replace(
-                    config.hyperparams, master_seed=args.seed))
+            try:
+                params = dataclasses.replace(config.hyperparams,
+                                             master_seed=args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from None
+            config = dataclasses.replace(config, hyperparams=params)
         if args.out is not None:
             config = dataclasses.replace(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        results = run_all(config, threads=_resolve_threads(args.threads))
+        results = run_all(config)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
@@ -126,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", required=True, help="experiment JSON")
     p_train.add_argument("--seed", type=int, help="override master seed")
     p_train.add_argument("--out", help="override output directory")
-    p_train.add_argument("--threads", type=int,
-                         help="tree-update worker threads "
-                              "(default: ORF_THREADS or 1)")
     p_train.set_defaults(func=cmd_train)
 
     p_diag = sub.add_parser("diagnose", help="audit run artifacts")

@@ -68,6 +68,17 @@ class HyperParams:
     fringe_capacity: int | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            # exact types: bool is an int subclass and must not pass
+            if f.name in _INT_FIELDS:
+                if type(v) is not int and not (
+                        v is None and f.name == "fringe_capacity"):
+                    raise ValueError(
+                        f"{_JSON_KEYS[f.name]} must be an integer, got {v!r}")
+            elif type(v) not in (int, float) or not math.isfinite(v):
+                raise ValueError(
+                    f"{_JSON_KEYS[f.name]} must be a finite number, got {v!r}")
         if self.num_trees < 1:
             raise ValueError("num_trees must be >= 1")
         if self.lam < 0:
@@ -114,6 +125,12 @@ class HyperParams:
 
 _JSON_KEYS = {f.name: ("lambda" if f.name == "lam" else f.name)
               for f in fields(HyperParams)}
+_INT_FIELDS = {"num_trees", "m", "master_seed", "fringe_capacity"}
+
+
+def majority(counts) -> int:
+    """Index of the largest count; ties go to the smaller index."""
+    return counts.index(max(counts))
 
 
 def alpha(params: HyperParams, d: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from orf.core import HyperParams, RngStream, alpha
+from orf.core import HyperParams, RngStream, alpha, majority
 from orf.forest import OnlineForest
 
 
@@ -60,11 +60,7 @@ def evaluate(forest: OnlineForest, test_points):
             counts[pred] += 1
             if pred == p.y:
                 tree_hits[i] += 1
-        best, best_c = 0, counts[0]
-        for k in range(1, n_classes):
-            if counts[k] > best_c:
-                best, best_c = k, counts[k]
-        if best == p.y:
+        if majority(counts) == p.y:
             forest_hits += 1
     n = len(test_points)
     return forest_hits / n, [h / n for h in tree_hits]
@@ -90,11 +86,10 @@ def clip_box_from_points(points, margin: float = 0.1):
     return box
 
 
-def leaf_diameter(tree, x, clip_box) -> float:
-    """Euclidean diameter of the leaf cell at x, clipped to the box."""
-    leaf = tree.route(x)
+def cell_diameter(extents, clip_box) -> float:
+    """Euclidean diameter of a cell, clipped to the box."""
     acc = 0.0
-    for (lo, hi), (clo, chi) in zip(leaf.extents, clip_box):
+    for (lo, hi), (clo, chi) in zip(extents, clip_box):
         edge = min(hi, chi) - max(lo, clo)
         if edge > 0:
             acc += edge * edge
@@ -108,13 +103,8 @@ def probe_stats(forest, probes, clip_box):
     est_counts = []
     for x in probes:
         for tree in forest.trees:
-            leaf = tree.route(x)
-            acc = 0.0
-            for (lo, hi), (clo, chi) in zip(leaf.extents, clip_box):
-                edge = min(hi, chi) - max(lo, clo)
-                if edge > 0:
-                    acc += edge * edge
-            diams.append(math.sqrt(acc))
+            leaf, extents = tree.cell(x)
+            diams.append(cell_diameter(extents, clip_box))
             est_counts.append(leaf.est_hist.total)
     return (statistics.median(diams), min(est_counts),
             statistics.median(est_counts))

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import pathlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from orf.core import (RESERVED_CHILD_INDICES, HyperParams,
@@ -66,6 +65,8 @@ class ExperimentConfig:
             raise ConfigError("checkpoints must be strictly increasing")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.hyperparams.master_seed + self.runs > 2 ** 64:
+            raise ConfigError("master_seed + runs - 1 must fit in 64 bits")
         if self.passes < 1:
             raise ConfigError("passes must be >= 1")
         if isinstance(self.data, MogSource):
@@ -195,7 +196,7 @@ def _write_csv(path, columns, rows):
 
 
 def run_experiment(config: ExperimentConfig, ctx: DataContext,
-                   run_index: int, executor=None) -> RunResult:
+                   run_index: int) -> RunResult:
     t_start = time.monotonic()
     seed = config.hyperparams.master_seed + run_index
     params = dataclasses.replace(config.hyperparams, master_seed=seed)
@@ -239,7 +240,7 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
     summary = []
     pos = 0
     for cp in checkpoints:
-        forest.update_stream(stream[pos:cp], executor=executor)
+        forest.update_stream(stream[pos:cp])
         pos = cp
         per_tree = []
         for i, tree in enumerate(forest.trees):
@@ -308,14 +309,6 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
                      final_tree_accuracies=last_tree_accs)
 
 
-def run_all(config: ExperimentConfig, threads: int = 1) -> list[RunResult]:
+def run_all(config: ExperimentConfig) -> list[RunResult]:
     ctx = load_data(config)
-    results = []
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for r in range(config.runs):
-            results.append(run_experiment(config, ctx, r, executor=executor))
-    finally:
-        if executor is not None:
-            executor.shutdown()
-    return results
+    return [run_experiment(config, ctx, r) for r in range(config.runs)]

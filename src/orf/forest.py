@@ -2,7 +2,7 @@
 
 Every tree sees every point (no bagging); randomness enters only through
 each tree's own stream assignment and candidate sampling, so trees can be
-updated in any order or in parallel with bit-identical results.
+updated in any order with bit-identical results.
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import gzip
 import io
 import json
 
-from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream)
+from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream,
+                      majority)
 from orf.tree import SERIALIZATION_VERSION, OnlineTree
 
 FOREST_FORMAT = "orf-forest"
@@ -42,26 +43,21 @@ class OnlineForest:
                             assign_stream(tree.rng, self.params), t)
                 for tree in self.trees]
 
-    def update_stream(self, points, executor=None) -> None:
-        """Feed a pre-validated batch; parallelizes over trees.
+    def update_stream(self, points) -> None:
+        """Feed a batch tree by tree; equals calling `update` per point.
 
-        Trees never share state, so any executor schedule produces the same
-        forest as the sequential loop.
+        Every point is validated before any tree moves, so a bad batch
+        leaves the forest as it was.
         """
+        for p in points:
+            p.validate(self.n_features, self.n_classes)
         base_t = self.t
         params = self.params
-
-        def run(tree):
+        for tree in self.trees:
             t = base_t
             for p in points:
                 t += 1
                 tree.update(p.x, p.y, assign_stream(tree.rng, params), t)
-
-        if executor is None:
-            for tree in self.trees:
-                run(tree)
-        else:
-            list(executor.map(run, self.trees))
         self.t = base_t + len(points)
 
     # -- prediction -----------------------------------------------------------
@@ -73,12 +69,7 @@ class OnlineForest:
         return counts
 
     def predict(self, x) -> int:
-        counts = self.vote_counts(x)
-        best, best_c = 0, counts[0]
-        for k in range(1, len(counts)):
-            if counts[k] > best_c:
-                best, best_c = k, counts[k]
-        return best
+        return majority(self.vote_counts(x))
 
     # -- serialization ----------------------------------------------------------
 

@@ -9,22 +9,22 @@ which reproduces the unbounded algorithm.
 
 The tree-wide arrival count backing p-hat is kept once on the tree and
 snapshotted per leaf at creation, so scoring a leaf is O(1) instead of
-touching every inactive leaf on every estimation point.
+touching every inactive leaf on every estimation point: a leaf's lifetime
+arrival count is derived from the snapshot when it is scored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from orf.core import InvariantViolation
+from orf.core import InvariantViolation, majority
 
 
 @dataclass
 class InactiveLeafStats:
     n_est_in_leaf: int = 0
     n_errors: int = 0
-    n_est_in_tree_during_lifetime: int = 0
-    est_tree_at_creation: int = 0  # snapshot backing the lazy lifetime count
+    est_tree_at_creation: int = 0  # tree-wide estimation count at creation
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,17 @@ class ActivationRecord:
     best_other_created_at: int | None
 
 
-def s_hat(stats: InactiveLeafStats) -> float:
-    p = stats.n_est_in_leaf / max(1, stats.n_est_in_tree_during_lifetime)
+def score(stats: InactiveLeafStats,
+          tree_total_est: int) -> tuple[float, float, float]:
+    """(s-hat, p-hat, e-hat) of an inactive leaf, s-hat = p-hat * e-hat.
+
+    p-hat is the leaf's share of the tree's estimation points since the
+    leaf was created; e-hat is its prequential error rate.
+    """
+    lifetime = tree_total_est - stats.est_tree_at_creation
+    p = stats.n_est_in_leaf / max(1, lifetime)
     e = stats.n_errors / max(1, stats.n_est_in_leaf)
-    return p * e
-
-
-def p_hat(stats: InactiveLeafStats) -> float:
-    return stats.n_est_in_leaf / max(1, stats.n_est_in_tree_during_lifetime)
-
-
-def e_hat(stats: InactiveLeafStats) -> float:
-    return stats.n_errors / max(1, stats.n_est_in_leaf)
+    return p * e, p, e
 
 
 class FringeState:
@@ -84,12 +83,8 @@ class FringeState:
         """
         stats = leaf.stats
         stats.n_est_in_leaf += 1
-        if y != leaf.est_hist.majority():
+        if y != majority(leaf.est_hist.counts):
             stats.n_errors += 1
-
-    def refresh(self, stats: InactiveLeafStats, tree_total_est: int) -> None:
-        stats.n_est_in_tree_during_lifetime = (
-            tree_total_est - stats.est_tree_at_creation)
 
     def on_leaf_split(self, tree, parent, left, right, t: int) -> list[int]:
         """Retire a just-split leaf, enroll its children, refill capacity.
@@ -123,14 +118,14 @@ class FringeState:
         scored = []
         for node_id in self.inactive_ids:
             leaf = tree.nodes[node_id]
-            self.refresh(leaf.stats, tree.total_est_seen)
-            scored.append((-s_hat(leaf.stats), leaf.created_at, node_id))
+            s, p, e = score(leaf.stats, tree.total_est_seen)
+            # node ids are unique, so p and e never take part in the order
+            scored.append((-s, leaf.created_at, node_id, p, e))
         scored.sort()
-        neg_s, _, chosen_id = scored[0]
+        neg_s, _, chosen_id, p, e = scored[0]
         leaf = tree.nodes[chosen_id]
         record = ActivationRecord(
-            t=t, leaf_id=chosen_id, s_hat=-neg_s,
-            p_hat=p_hat(leaf.stats), e_hat=e_hat(leaf.stats),
+            t=t, leaf_id=chosen_id, s_hat=-neg_s, p_hat=p, e_hat=e,
             best_other_s_hat=-scored[1][0] if len(scored) > 1 else None,
             best_other_created_at=scored[1][1] if len(scored) > 1 else None)
         self.inactive_ids.discard(chosen_id)

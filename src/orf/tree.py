@@ -10,6 +10,9 @@ A leaf at depth d splits on arrival of a structure point when some
 candidate has both estimation children at alpha(d) or more, and either the
 best such candidate's information gain exceeds tau or the leaf itself holds
 beta(d) or more estimation points.
+
+Leaves store no geometry: a leaf's cell is derived by walking the split
+nodes from the root (`OnlineTree.cell`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from orf.core import HyperParams, InvariantViolation, RngStream, \
-    StreamAssignment, alpha, beta
+    StreamAssignment, alpha, beta, majority
 from orf.fringe import FringeState, InactiveLeafStats
 
 SERIALIZATION_VERSION = 1
@@ -41,15 +44,6 @@ class ClassHistogram:
 
     def copy(self) -> "ClassHistogram":
         return ClassHistogram(counts=self.counts)
-
-    def majority(self) -> int:
-        """Class with the largest count; ties go to the smaller index."""
-        counts = self.counts
-        best, best_c = 0, counts[0]
-        for k in range(1, len(counts)):
-            if counts[k] > best_c:
-                best, best_c = k, counts[k]
-        return best
 
     def __eq__(self, other):
         return isinstance(other, ClassHistogram) and self.counts == other.counts
@@ -76,11 +70,10 @@ class CandidateSplit:
 class Leaf:
     __slots__ = ("node_id", "depth", "est_hist", "candidate_dims",
                  "candidate_splits", "n_split_points_seen", "active",
-                 "extents", "created_at", "stats")
+                 "created_at", "stats")
 
     def __init__(self, node_id: int, depth: int, est_hist: ClassHistogram,
-                 candidate_dims: list[int], extents: list[tuple[float, float]],
-                 created_at: int):
+                 candidate_dims: list[int], created_at: int):
         self.node_id = node_id
         self.depth = depth
         self.est_hist = est_hist
@@ -88,7 +81,6 @@ class Leaf:
         self.candidate_splits: list[CandidateSplit] = []
         self.n_split_points_seen = 0
         self.active = False
-        self.extents = extents
         self.created_at = created_at
         self.stats: InactiveLeafStats | None = None
 
@@ -161,29 +153,6 @@ def create_candidate_splits(leaf: Leaf, x, n_classes: int) -> None:
     leaf.n_split_points_seen += 1
 
 
-def split_is_valid(leaf: Leaf, s: CandidateSplit, params: HyperParams) -> bool:
-    a = alpha(params, leaf.depth)
-    return s.left_est.total >= a and s.right_est.total >= a
-
-
-def can_split(leaf: Leaf, params: HyperParams) -> bool:
-    a = alpha(params, leaf.depth)
-    for s in leaf.candidate_splits:
-        if s.left_est.total >= a and s.right_est.total >= a:
-            return True
-    return False
-
-
-def should_split(leaf: Leaf, params: HyperParams) -> bool:
-    a = alpha(params, leaf.depth)
-    tau = params.tau
-    for s in leaf.candidate_splits:
-        if s.left_est.total >= a and s.right_est.total >= a \
-                and information_gain(s) > tau:
-            return True
-    return False
-
-
 def must_split(leaf: Leaf, params: HyperParams) -> bool:
     return leaf.est_hist.total >= beta(params, leaf.depth)
 
@@ -199,13 +168,6 @@ def _best_valid(leaf: Leaf, params: HyperParams):
             if g > best_gain:
                 best, best_gain = s, g
     return best, best_gain
-
-
-def best_split(leaf: Leaf, params: HyperParams) -> CandidateSplit:
-    s, _ = _best_valid(leaf, params)
-    if s is None:
-        raise ValueError("no valid candidate split; check can_split first")
-    return s
 
 
 class OnlineTree:
@@ -227,19 +189,16 @@ class OnlineTree:
         self.pending_activations: list = []
         if _empty:
             return
-        root = self._new_leaf(depth=0,
-                              est_hist=ClassHistogram(n_classes),
-                              extents=[(-math.inf, math.inf)] * n_features,
+        root = self._new_leaf(depth=0, est_hist=ClassHistogram(n_classes),
                               created_at=0)
         self.fringe.register_root(root)
 
     # -- construction helpers ---------------------------------------------
 
-    def _new_leaf(self, depth, est_hist, extents, created_at) -> Leaf:
+    def _new_leaf(self, depth, est_hist, created_at) -> Leaf:
         k = min(1 + self.rng.poisson(self.params.lam), self.n_features)
         dims = self.rng.sample_distinct(self.n_features, k)
-        leaf = Leaf(len(self.nodes), depth, est_hist, dims, extents,
-                    created_at)
+        leaf = Leaf(len(self.nodes), depth, est_hist, dims, created_at)
         self.nodes.append(leaf)
         return leaf
 
@@ -259,6 +218,27 @@ class OnlineTree:
                          else node.right]
         return node
 
+    def cell(self, x) -> tuple[Leaf, list[tuple[float, float]]]:
+        """The leaf at x and its cell, one (lo, hi] interval per feature.
+
+        Walks the same path as `route`, narrowing the cell at every split.
+        """
+        if len(x) != self.n_features:
+            raise ValueError(f"expected {self.n_features} features, "
+                             f"got {len(x)}")
+        lo = [-math.inf] * self.n_features
+        hi = [math.inf] * self.n_features
+        nodes = self.nodes
+        node = nodes[self.ROOT_ID]
+        while type(node) is InternalNode:
+            if x[node.dim] <= node.threshold:
+                hi[node.dim] = node.threshold
+                node = nodes[node.left]
+            else:
+                lo[node.dim] = node.threshold
+                node = nodes[node.right]
+        return node, list(zip(lo, hi))
+
     def predict_posterior(self, x) -> list[float]:
         h = self.route(x).est_hist
         if h.total == 0:
@@ -266,7 +246,7 @@ class OnlineTree:
         return [c / h.total for c in h.counts]
 
     def predict_class(self, x) -> int:
-        return self.route(x).est_hist.majority()
+        return majority(self.route(x).est_hist.counts)
 
     # -- stream updates ----------------------------------------------------
 
@@ -309,13 +289,8 @@ class OnlineTree:
             raise InvariantViolation(
                 f"validity gate: split at depth {d} with child estimation "
                 f"counts ({s.left_est.total}, {s.right_est.total}) < {a}")
-        lo, hi = leaf.extents[s.dim]
-        left_ext = list(leaf.extents)
-        left_ext[s.dim] = (lo, s.threshold)
-        right_ext = list(leaf.extents)
-        right_ext[s.dim] = (s.threshold, hi)
-        left = self._new_leaf(d + 1, s.left_est.copy(), left_ext, t)
-        right = self._new_leaf(d + 1, s.right_est.copy(), right_ext, t)
+        left = self._new_leaf(d + 1, s.left_est.copy(), t)
+        right = self._new_leaf(d + 1, s.right_est.copy(), t)
         self.nodes[leaf.node_id] = InternalNode(
             leaf.node_id, s.dim, s.threshold, left.node_id, right.node_id)
         self.split_count += 1
@@ -388,7 +363,7 @@ class OnlineTree:
                 continue
             leaf = Leaf(node_id, nd["depth"],
                         ClassHistogram(counts=nd["est"]),
-                        list(nd["dims"]), None, nd["created_at"])
+                        list(nd["dims"]), nd["created_at"])
             leaf.n_split_points_seen = nd["nsp"]
             leaf.active = nd["active"]
             for cd in nd["cands"]:
@@ -410,19 +385,4 @@ class OnlineTree:
             else:
                 tree.fringe.inactive_ids.add(node_id)
             tree.nodes.append(leaf)
-        # leaf extents are derived state: rebuild them from the split tree
-        stack = [(tree.ROOT_ID, [(-math.inf, math.inf)] * tree.n_features)]
-        while stack:
-            node_id, ext = stack.pop()
-            node = tree.nodes[node_id]
-            if type(node) is InternalNode:
-                lo, hi = ext[node.dim]
-                left_ext = list(ext)
-                left_ext[node.dim] = (lo, node.threshold)
-                right_ext = list(ext)
-                right_ext[node.dim] = (node.threshold, hi)
-                stack.append((node.left, left_ext))
-                stack.append((node.right, right_ext))
-            else:
-                node.extents = ext
         return tree

@@ -58,9 +58,33 @@ def load_tiny_fixture():
     return doc, stream
 
 
+def leaf_cells(tree):
+    """{leaf node id: cell} by a depth-first pass over the node arena.
+
+    Independent of OnlineTree.cell: each child's cell is copied from its
+    parent's with the split dimension's interval cut at the threshold.
+    """
+    from orf.tree import InternalNode
+    cells = {}
+    stack = [(tree.ROOT_ID, [(-math.inf, math.inf)] * tree.n_features)]
+    while stack:
+        node_id, cell = stack.pop()
+        node = tree.nodes[node_id]
+        if type(node) is InternalNode:
+            lo, hi = cell[node.dim]
+            left, right = list(cell), list(cell)
+            left[node.dim] = (lo, node.threshold)
+            right[node.dim] = (node.threshold, hi)
+            stack += [(node.left, left), (node.right, right)]
+        else:
+            cells[node_id] = cell
+    return cells
+
+
 def tree_skeleton(tree):
     """Structure-only view of a tree: split layout, thresholds, leaf cells."""
     from orf.tree import InternalNode
+    cells = leaf_cells(tree)
     out = []
     for node in tree.nodes:
         if type(node) is InternalNode:
@@ -68,14 +92,15 @@ def tree_skeleton(tree):
                         node.left, node.right))
         else:
             out.append(("leaf", node.node_id, node.depth, node.created_at,
-                        tuple(map(tuple, node.extents))))
+                        tuple(cells[node.node_id])))
     return out
 
 
 def leaf_cells_in_order(tree):
-    """Leaves sorted spatially (1-D helper for the tiny fixture)."""
-    leaves = tree.leaves()
-    return sorted(leaves, key=lambda l: l.extents[0][0])
+    """(leaf, cell) pairs sorted spatially (1-D helper for the tiny fixture)."""
+    cells = leaf_cells(tree)
+    return sorted(((l, cells[l.node_id]) for l in tree.leaves()),
+                  key=lambda pair: pair[1][0][0])
 
 
 def approx_inf(v):

@@ -99,12 +99,12 @@ class TestRunAll:
     def test_artifacts_and_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path)
         blobs = {}
-        for attempt, threads in ((0, 1), (1, 1), (2, 4)):
+        for attempt in range(3):
             out = tmp_path / f"out{attempt}"
             cfg = ExperimentConfig.load(cfg_path)
             import dataclasses
             cfg = dataclasses.replace(cfg, out_dir=str(out))
-            run_all(cfg, threads=threads)
+            run_all(cfg)
             run_dir = out / "run00"
             names = ["curves.csv", "splits.csv", "activations.csv",
                      "forest.json.gz", "run.json"]
@@ -202,14 +202,29 @@ class TestCli:
         assert "line 1" in capsys.readouterr().err
         assert main(["parse-check", str(tmp_path / "none")]) == 3
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ORF_THREADS", "2")
+    @pytest.mark.parametrize("key, value", [
+        ("num_trees", True), ("m", 2.5), ("fringe_capacity", 1.5),
+        ("tau", float("nan")), ("alpha_growth", float("inf")),
+        ("master_seed", 1.7),
+    ])
+    def test_train_mistyped_hyperparam_exit_2(self, tmp_path, capsys, key,
+                                              value):
+        doc = tiny_config_doc()
+        doc["hyperparams"][key] = value
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_train_seed_out_of_range_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg),
-                     "--out", str(tmp_path / "env_out")]) == 0
-        # same bytes as a --threads 1 run
-        assert main(["train", "--config", str(cfg), "--threads", "1",
-                     "--out", str(tmp_path / "t1_out")]) == 0
-        a = (tmp_path / "env_out" / "run00" / "forest.json.gz").read_bytes()
-        b = (tmp_path / "t1_out" / "run00" / "forest.json.gz").read_bytes()
-        assert a == b
+                     "--seed", str(2 ** 64)]) == 2
+        assert "master_seed must fit in 64 bits" in capsys.readouterr().err
+        # run r trains with master_seed + r, so the last run must fit too
+        cfg = write_config(tmp_path, runs=2)
+        assert main(["train", "--config", str(cfg),
+                     "--seed", str(2 ** 64 - 1)]) == 2
+        assert "master_seed + runs - 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

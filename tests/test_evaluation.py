@@ -13,10 +13,10 @@ from orf.experiment import (ExperimentConfig, MogSource, load_data,
 MOG_SPEC = str(pathlib.Path(__file__).resolve().parents[1]
                / "configs" / "mog5.json")
 from orf.evaluation import (clip_box_from_points, consistency_report,
-                            evaluate, leaf_diameter, load_run_artifacts,
+                            cell_diameter, evaluate, load_run_artifacts,
                             probe_stats, shrink_factor_check)
 from orf.forest import OnlineForest
-from orf.tree import ClassHistogram, OnlineTree
+from orf.tree import ClassHistogram, InternalNode, Leaf, OnlineTree
 
 
 def constant_forest(label, num_trees=3, C=2):
@@ -61,19 +61,24 @@ class TestLeafDiameter:
     def test_root_clipped_to_unit_square(self):
         tree = self._tree()
         box = [(0.0, 1.0), (0.0, 1.0)]
-        assert leaf_diameter(tree, (0.5, 0.5), box) == pytest.approx(math.sqrt(2))
+        _, cell = tree.cell((0.5, 0.5))
+        assert cell_diameter(cell, box) == pytest.approx(math.sqrt(2))
 
     def test_partial_cell(self):
-        tree = self._tree()
-        tree.nodes[0].extents = [(0.0, 0.5), (0.0, 1.0)]
         box = [(-5.0, 5.0), (-5.0, 5.0)]
-        assert leaf_diameter(tree, (0.2, 0.2), box) == \
+        assert cell_diameter([(0.0, 0.5), (0.0, 1.0)], box) == \
             pytest.approx(math.sqrt(1.25))
+        # a cell that only one split has cut
+        tree = self._tree()
+        tree.nodes[0] = InternalNode(0, 0, 0.5, 1, 2)
+        tree.nodes += [Leaf(1, 1, ClassHistogram(2), [0], 0),
+                       Leaf(2, 1, ClassHistogram(2), [0], 0)]
+        _, cell = tree.cell((0.2, 0.2))
+        assert cell_diameter(cell, box) == pytest.approx(math.sqrt(130.25))
 
     def test_degenerate_cell(self):
-        tree = self._tree()
-        tree.nodes[0].extents = [(0.3, 0.3), (0.7, 0.7)]
-        assert leaf_diameter(tree, (0.3, 0.7), [(0, 1), (0, 1)]) == 0.0
+        assert cell_diameter([(0.3, 0.3), (0.7, 0.7)],
+                             [(0, 1), (0, 1)]) == 0.0
 
     def test_probe_stats_on_fresh_forest(self):
         forest = constant_forest(0, num_trees=2)

@@ -1,5 +1,5 @@
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 
 import pytest
 
@@ -58,6 +58,21 @@ class TestUpdate:
         with pytest.raises(ValueError):
             forest.update(LabeledPoint((0.0, 0.0), 7))
 
+    @pytest.mark.parametrize("bad", [
+        [LabeledPoint((math.nan, 0.0), 0)] * 200,
+        [LabeledPoint((0.5, 0.5), 7)],
+    ], ids=["nan_features", "label_out_of_range"])
+    def test_update_stream_rejects_bad_batch_untouched(self, bad):
+        forest = OnlineForest(make_params(num_trees=2, master_seed=5), 2, 5)
+        good = points_from_stream(synthetic_stream(3, 100, n_classes=5))
+        forest.update_stream(good)
+        before = forest.to_bytes()
+        # the bad point comes after enough good ones to move every tree
+        with pytest.raises(ValueError):
+            forest.update_stream(good + bad)
+        assert forest.t == 100
+        assert forest.to_bytes() == before
+
 
 class TestPredict:
     def _rig_votes(self, forest, votes):
@@ -88,20 +103,15 @@ class TestPredict:
             assert forest.predict(x) == forest.trees[0].predict_class(x)
 
 
-class TestDeterminismAndThreads:
-    def test_sequential_equals_threaded(self):
-        blobs = {}
-        for workers in (None, 1, 4):
+class TestDeterminism:
+    def test_repeated_runs_byte_identical(self):
+        blobs = []
+        for _ in range(3):
             params = make_params(num_trees=4, m=3, master_seed=99)
             forest = OnlineForest(params, 2, 2)
-            pts = points_from_stream(synthetic_stream(55, 600))
-            if workers is None:
-                forest.update_stream(pts)
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as ex:
-                    forest.update_stream(pts, executor=ex)
-            blobs[workers] = forest.to_bytes()
-        assert blobs[None] == blobs[1] == blobs[4]
+            forest.update_stream(points_from_stream(synthetic_stream(55, 600)))
+            blobs.append(forest.to_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_pointwise_equals_batched(self):
         params = make_params(num_trees=3, m=3, master_seed=31)

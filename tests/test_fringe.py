@@ -4,15 +4,18 @@ import pytest
 
 from conftest import drive, make_params, synthetic_stream
 from orf.core import RngStream, StreamAssignment
-from orf.fringe import InactiveLeafStats, e_hat, p_hat, s_hat
+from orf.fringe import InactiveLeafStats, score
 from orf.tree import ClassHistogram, Leaf, OnlineTree
 
 E, S = StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE
 
 
-def stats(in_leaf, errors, in_tree):
-    return InactiveLeafStats(n_est_in_leaf=in_leaf, n_errors=errors,
-                             n_est_in_tree_during_lifetime=in_tree)
+def scored(in_leaf, errors, in_tree, created=1000):
+    """score() of a leaf created when the tree had seen `created` points,
+    after `in_tree` more arrived."""
+    st = InactiveLeafStats(n_est_in_leaf=in_leaf, n_errors=errors,
+                           est_tree_at_creation=created)
+    return score(st, created + in_tree)
 
 
 @pytest.mark.parametrize("in_leaf, errors, in_tree, expect", [
@@ -21,18 +24,23 @@ def stats(in_leaf, errors, in_tree):
     (40, 0, 400, 0.0),   # pure leaf: e-hat = 0
 ])
 def test_s_hat(in_leaf, errors, in_tree, expect):
-    assert s_hat(stats(in_leaf, errors, in_tree)) == pytest.approx(expect)
+    assert scored(in_leaf, errors, in_tree)[0] == pytest.approx(expect)
 
 
 def test_s_hat_factors():
-    st = stats(50, 25, 500)
-    assert p_hat(st) == pytest.approx(0.1)
-    assert e_hat(st) == pytest.approx(0.5)
+    s, p, e = scored(50, 25, 500)
+    assert p == pytest.approx(0.1)
+    assert e == pytest.approx(0.5)
+    assert s == p * e
+    # a leaf created at the tree's start has the tree's whole count
+    assert scored(50, 25, 500, created=0) == (s, p, e)
+    # no arrivals yet: both denominators are clamped to 1
+    assert scored(0, 0, 0) == (0.0, 0.0, 0.0)
 
 
 class TestRecordArrival:
     def _leaf(self, counts):
-        leaf = Leaf(0, 1, ClassHistogram(counts=counts), [0], [(0, 1)], 0)
+        leaf = Leaf(0, 1, ClassHistogram(counts=counts), [0], 0)
         leaf.stats = InactiveLeafStats()
         return leaf
 
@@ -76,9 +84,8 @@ class TestActivationPolicy:
         assert all(l.stats is None for l in active)
         for l in inactive:
             st = l.stats
-            tree.fringe.refresh(st, tree.total_est_seen)
-            assert st.n_errors <= st.n_est_in_leaf \
-                <= st.n_est_in_tree_during_lifetime
+            lifetime = tree.total_est_seen - st.est_tree_at_creation
+            assert st.n_errors <= st.n_est_in_leaf <= lifetime
 
     def test_every_activation_is_argmax(self):
         """Independent shadow check: recompute s-hat over the leaves found by
@@ -98,7 +105,8 @@ class TestActivationPolicy:
                     lifetime = tr.total_est_seen - st.est_tree_at_creation
                     p = st.n_est_in_leaf / max(1, lifetime)
                     e = st.n_errors / max(1, st.n_est_in_leaf)
-                    snap.append((-(p * e), node.created_at, node.node_id))
+                    snap.append((-(p * e), node.created_at, node.node_id,
+                                 p, e))
             snapshots.append(sorted(snap))
 
         tree.fringe.activation_hook = hook
@@ -107,9 +115,10 @@ class TestActivationPolicy:
         assert len(activations) >= 4
         assert len(snapshots) == len(activations)
         for snap, rec in zip(snapshots, activations):
-            neg_s, created, node_id = snap[0]
+            neg_s, created, node_id, p, e = snap[0]
             assert rec.leaf_id == node_id
             assert rec.s_hat == pytest.approx(-neg_s)
+            assert (rec.p_hat, rec.e_hat) == pytest.approx((p, e))
             if len(snap) > 1:
                 assert rec.best_other_s_hat == pytest.approx(-snap[1][0])
 
@@ -137,7 +146,7 @@ class TestActivationPolicy:
         leaves = []
         for created_at in (7, 3):  # insertion order is not creation order
             leaf = Leaf(len(tree.nodes), 1, ClassHistogram(2), [0],
-                        [(0.0, 1.0)], created_at)
+                        created_at)
             # identical scores: p-hat = 10/100, e-hat = 5/10
             leaf.stats = InactiveLeafStats(n_est_in_leaf=10, n_errors=5,
                                            est_tree_at_creation=0)

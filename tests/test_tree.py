@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (drive, leaf_cells_in_order, load_tiny_fixture,
-                      make_params, synthetic_stream, tree_skeleton)
-from orf.core import RngStream, StreamAssignment
+from conftest import (drive, leaf_cells, leaf_cells_in_order,
+                      load_tiny_fixture, make_params, synthetic_stream,
+                      tree_skeleton)
+from orf.core import InvariantViolation, RngStream, StreamAssignment
 from orf.tree import (CandidateSplit, ClassHistogram, Leaf, OnlineTree,
-                      best_split, can_split, create_candidate_splits, entropy,
-                      information_gain, must_split, should_split,
-                      split_is_valid)
+                      _best_valid, create_candidate_splits, entropy,
+                      information_gain, must_split)
 
 E, S, SKIP = (StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE,
               StreamAssignment.SKIP)
@@ -32,7 +32,7 @@ def cand(dim=0, thr=0.5, order=0, ls=None, rs=None, le=None, re=None, C=2):
 
 def bare_leaf(depth=0, C=2, dims=(0,), est=None):
     leaf = Leaf(0, depth, hist(est) if est else ClassHistogram(C),
-                list(dims), [(-math.inf, math.inf)] * 2, 0)
+                list(dims), 0)
     leaf.active = True
     return leaf
 
@@ -40,6 +40,17 @@ def bare_leaf(depth=0, C=2, dims=(0,), est=None):
 def new_tree(params=None, D=2, C=2, seed=7):
     params = params or make_params()
     return OnlineTree(params, D, C, RngStream(seed))
+
+
+def gate_tree(cands, est=None, **over):
+    """Tree whose root holds exactly `cands` and takes no new candidates."""
+    tree = new_tree(make_params(m=1, **over))
+    root = tree.nodes[0]
+    root.candidate_splits = cands
+    root.n_split_points_seen = 1
+    if est:
+        root.est_hist = hist(est)
+    return tree
 
 
 @pytest.mark.parametrize("counts, expect", [
@@ -97,19 +108,27 @@ class TestGates:
     def test_split_is_valid_boundaries(self):
         p = make_params(alpha_base=3.0, alpha_growth=1.1)  # alpha(0)=3
         leaf = bare_leaf()
-        assert split_is_valid(leaf, cand(le=[2, 1], re=[3, 0]), p)
-        assert not split_is_valid(leaf, cand(le=[4, 1], re=[2, 0]), p)
+
+        def valid(s, params):
+            leaf.candidate_splits = [s]
+            return _best_valid(leaf, params)[0] is s
+
+        assert valid(cand(le=[2, 1], re=[3, 0]), p)
+        assert not valid(cand(le=[4, 1], re=[2, 0]), p)
         p1 = make_params(alpha_base=1.0)
-        assert not split_is_valid(leaf, cand(le=[0, 0], re=[2, 2]), p1)
+        assert not valid(cand(le=[0, 0], re=[2, 2]), p1)
 
     def test_should_split_strict_inequality(self):
-        # gain of ([1,1] vs [0,2]) parent [1,3]: about 0.3113 bits
-        leaf = bare_leaf()
-        leaf.candidate_splits = [cand(ls=[1, 1], rs=[0, 2],
-                                      le=[2, 2], re=[2, 2])]
-        g = information_gain(leaf.candidate_splits[0])
-        assert should_split(leaf, make_params(tau=g / 2))
-        assert not should_split(leaf, make_params(tau=g))  # "> tau" is strict
+        # the structure point below goes right, leaving ([1,1] vs [0,2]),
+        # parent [1,3]: a gain of about 0.3113 bits
+        g = information_gain(cand(ls=[1, 1], rs=[0, 2]))
+        for tau, splits in ((g / 2, True), (g, False)):  # "> tau" is strict
+            tree = gate_tree([cand(ls=[1, 1], rs=[0, 1],
+                                   le=[2, 2], re=[2, 2])], tau=tau)
+            rec = tree.update((0.9, 0.0), 1, S, 1)
+            assert (rec is not None) == splits
+            if splits:
+                assert rec.gain == g
 
     def test_must_split_threshold(self):
         p = make_params(alpha_base=1.0, beta_multiplier=10.0)  # beta(0)=10
@@ -120,7 +139,12 @@ class TestGates:
 
     def test_can_split_needs_candidates(self):
         leaf = bare_leaf(est=[50, 50])
-        assert not can_split(leaf, make_params())
+        assert _best_valid(leaf, make_params()) == (None, -1.0)
+        # past beta(0) = 1, but a leaf without candidates cannot split
+        tree = gate_tree([], est=[50, 50], beta_multiplier=1.0)
+        assert must_split(tree.nodes[0], tree.params)
+        assert tree.update((0.9, 0.0), 1, S, 1) is None
+        assert tree.split_count == 0
 
 
 class TestBestSplit:
@@ -131,17 +155,26 @@ class TestBestSplit:
         strong = cand(order=1, ls=[4, 0], rs=[0, 4], le=[1, 1], re=[1, 1])
         invalid = cand(order=2, ls=[9, 0], rs=[0, 9], le=[0, 0], re=[9, 9])
         leaf.candidate_splits = [weak, strong, invalid]
-        assert best_split(leaf, p) is strong
-        twin = cand(order=3, ls=[4, 0], rs=[0, 4], le=[1, 1], re=[1, 1])
+        assert _best_valid(leaf, p) == (strong, 1.0)
+        twin = cand(dim=1, order=3, ls=[4, 0], rs=[0, 4], le=[1, 1],
+                    re=[1, 1])
         leaf.candidate_splits = [invalid, twin, strong]
         # twin and strong tie at gain 1.0; twin comes first in the list
-        assert best_split(leaf, p) is twin
+        assert _best_valid(leaf, p)[0] is twin
+        # the tree splits on the same choice; the structure point goes
+        # right under both, so they still tie
+        tree = gate_tree([invalid, twin, strong], tau=0.5, alpha_base=1.0)
+        rec = tree.update((0.9, 0.9), 1, S, 1)
+        assert rec.dim == twin.dim
 
     def test_no_valid_candidate_raises(self):
-        leaf = bare_leaf()
-        leaf.candidate_splits = [cand(le=[0, 0], re=[5, 5])]
-        with pytest.raises(ValueError):
-            best_split(leaf, make_params())
+        tree = gate_tree([cand(le=[0, 0], re=[5, 5])], beta_multiplier=1.0)
+        leaf = tree.nodes[0]
+        assert _best_valid(leaf, tree.params) == (None, -1.0)
+        assert tree.update((0.9, 0.0), 1, S, 1) is None
+        # the split itself re-checks the alpha gate
+        with pytest.raises(InvariantViolation, match="validity gate"):
+            tree._perform_split(leaf, leaf.candidate_splits[0], 0.0, 2)
 
 
 class TestCandidateCreation:
@@ -185,14 +218,30 @@ class TestRouting:
         tree.update((0.9, 0.0), 1, E, 3)
         rec = tree.update((0.7, 0.0), 1, S, 4)  # valid + gain 1 -> split
         assert rec is not None and rec.threshold == 0.5
-        left = tree.route((0.5, 123.0))
-        right = tree.route((0.5000001, 0.0))
-        assert left.extents[0] == (-math.inf, 0.5)
-        assert right.extents[0] == (0.5, math.inf)
+        left, left_cell = tree.cell((0.5, 123.0))
+        right, right_cell = tree.cell((0.5000001, 0.0))
+        assert left is tree.route((0.5, 123.0)) is not right
+        assert left_cell[0] == (-math.inf, 0.5)
+        assert right_cell[0] == (0.5, math.inf)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             new_tree().route((0.1,))
+        with pytest.raises(ValueError):
+            new_tree().cell((0.1, 0.2, 0.3))
+
+    def test_cell_matches_route_and_tree_walk(self):
+        tree = new_tree(make_params(m=4, lam=1.0, beta_multiplier=20.0),
+                        seed=9)
+        stream = synthetic_stream(21, 800)
+        drive(tree, stream)
+        assert tree.split_count > 5
+        cells = leaf_cells(tree)
+        for x, _, _ in stream[::7]:
+            leaf, cell = tree.cell(x)
+            assert leaf is tree.route(x)
+            assert cell == cells[leaf.node_id]
+            assert all(lo < v <= hi for v, (lo, hi) in zip(x, cell))
 
 
 class TestUpdate:
@@ -216,7 +265,7 @@ class TestUpdate:
         # root split; capacity 1 -> one child active, one inactive
         inactive = [l for l in tree.leaves() if not l.active]
         assert len(inactive) == 1
-        lo, hi = inactive[0].extents[0]
+        lo, hi = leaf_cells(tree)[inactive[0].node_id][0]
         x = ((lo + hi) / 2 if math.isfinite(lo + hi)
              else (lo + 1 if math.isfinite(lo) else hi - 1))
         tree.update((x,), 0, S, 100)
@@ -234,7 +283,7 @@ class TestSplit:
     def test_children_inherit_candidate_est_counts(self):
         tree = self._split_tree()
         assert tree.split_count == 1
-        left, right = leaf_cells_in_order(tree)
+        (left, _), (right, _) = leaf_cells_in_order(tree)
         assert left.est_hist.counts == [1, 0]
         assert right.est_hist.counts == [0, 1]
         assert left.depth == right.depth == 1
@@ -248,7 +297,7 @@ class TestSplit:
     def test_routing_after_split(self):
         tree = self._split_tree()
         thr = tree.nodes[0].threshold
-        assert tree.route((thr,)).extents[0][1] == thr
+        assert tree.cell((thr,))[1][0][1] == thr
 
 
 class TestPrediction:
@@ -299,8 +348,8 @@ class TestTinyTrace:
     def test_final_leaves(self):
         doc, tree, _ = self._run()
         got = []
-        for leaf in leaf_cells_in_order(tree):
-            lo, hi = leaf.extents[0]
+        for leaf, cell in leaf_cells_in_order(tree):
+            lo, hi = cell[0]
             got.append({"depth": leaf.depth,
                         "lo": None if math.isinf(lo) else lo,
                         "hi": None if math.isinf(hi) else hi,
@@ -365,13 +414,13 @@ class TestMonotoneRefinement:
     def test_query_cell_never_grows(self):
         tree = new_tree(make_params(m=4, lam=1.0), seed=9)
         probes = [(0.21, 0.77), (0.5, 0.5), (0.99, 0.01)]
-        prev = {p: tree.route(p).extents for p in probes}
+        prev = {p: tree.cell(p)[1] for p in probes}
         t = 0
         for x, y, tag in synthetic_stream(21, 600):
             t += 1
             tree.update(x, y, tag, t)
             for p in probes:
-                ext = tree.route(p).extents
+                ext = tree.cell(p)[1]
                 for (lo0, hi0), (lo1, hi1) in zip(prev[p], ext):
                     assert lo1 >= lo0 and hi1 <= hi0
                 prev[p] = ext
@@ -406,6 +455,5 @@ class TestSerialization:
         drive(tree, stream[300:], t0=300)
         drive(clone, stream[300:], t0=300)
         assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
-        # extents were rebuilt, not stored
-        for a, b in zip(tree.leaves(), clone.leaves()):
-            assert a.extents == b.extents
+        # cells are derived from the restored split nodes
+        assert leaf_cells(clone) == leaf_cells(tree)
