@@ -1,3 +1,11 @@
+"""Streaming random forests with separate structure and estimation streams.
+
+The names below are the public API. A `Leaf` keeps its estimation counts in
+a `ClassHistogram`; a `CandidateSplit` keeps four flat per-class count lists
+(`ls`, `rs`, `le`, `re`) and its estimation totals (`nle`, `nre`), and
+`information_gain` scores it from a precomputed c·log2(c) table.
+"""
+
 from orf.core import (HyperParams, InvariantViolation, LabeledPoint,
                       RngStream, StreamAssignment, alpha, assign_stream, beta)
 from orf.data import (Dataset, MixtureOfGaussians, MogComponent, ParseError,

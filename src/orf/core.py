@@ -1,4 +1,5 @@
-"""Shared domain types: stream elements, hyperparameters, schedules, RNG.
+"""Shared domain types: stream elements, hyperparameters, schedules, RNG,
+plus the order-fixed float sum and the atomic file write the outputs use.
 
 Everything here is immutable after construction except RngStream, which is
 single-owner: never share one across trees, derive children instead.
@@ -8,6 +9,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import pathlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -131,6 +134,30 @@ _INT_FIELDS = {"num_trees", "m", "master_seed", "fringe_capacity"}
 def majority(counts) -> int:
     """Index of the largest count; ties go to the smaller index."""
     return counts.index(max(counts))
+
+
+def sum_in_order(values) -> float:
+    """Float sum added strictly left to right, as builtin sum() did up to
+    Python 3.11; from 3.12 on sum() compensates rounding, which would make
+    output bytes depend on the interpreter version."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary name beside `path`, then rename it into
+    place: `path` never holds part of a write."""
+    path = pathlib.Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def alpha(params: HyperParams, d: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orf.core import LabeledPoint, RngStream
+from orf.core import LabeledPoint, RngStream, sum_in_order
 
 VAR_FLOOR = 1e-12
 
@@ -167,7 +167,7 @@ class MixtureOfGaussians:
     def __init__(self, components: list[MogComponent], n_classes: int):
         if not components:
             raise ValueError("need at least one component")
-        total = sum(c.weight for c in components)
+        total = sum_in_order(c.weight for c in components)
         if total <= 0 or any(c.weight < 0 for c in components):
             raise ValueError("weights must be nonnegative with positive sum")
         dim = len(components[0].mean)

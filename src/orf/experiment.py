@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 import time
 from dataclasses import dataclass
 
 from orf.core import (RESERVED_CHILD_INDICES, HyperParams,
-                      InvariantViolation, RngStream, alpha)
+                      InvariantViolation, RngStream, alpha, sum_in_order,
+                      write_atomic)
 from orf.data import (Dataset, MixtureOfGaussians, ParseError, align_pair,
                       parse_libsvm, stream_schedule)
 from orf.evaluation import (ACTIVATIONS_COLUMNS, CURVES_COLUMNS,
@@ -57,6 +59,22 @@ class ExperimentConfig:
     clip_margin: float = 0.1
 
     def __post_init__(self):
+        # exact types: bool is an int subclass and must not pass
+        counts = {"runs": self.runs, "passes": self.passes,
+                  "probe_points": self.probe_points,
+                  "clip_sample": self.clip_sample}
+        if isinstance(self.data, MogSource):
+            counts["test_points"] = self.data.test_points
+        for name, v in counts.items():
+            if type(v) is not int:
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        for c in self.checkpoints:
+            if type(c) is not int:
+                raise ConfigError(f"checkpoints must be integers, got {c!r}")
+        if type(self.clip_margin) not in (int, float) \
+                or not math.isfinite(self.clip_margin):
+            raise ConfigError(f"clip_margin must be a finite number, got "
+                              f"{self.clip_margin!r}")
         if not self.checkpoints:
             raise ConfigError("checkpoints must be nonempty")
         if any(c <= 0 for c in self.checkpoints):
@@ -95,7 +113,9 @@ class ExperimentConfig:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         base = pathlib.Path(base_dir)
 
-        def resolve(p):
+        def resolve(key, p):
+            if type(p) is not str:
+                raise ConfigError(f"{key} must be a path string, got {p!r}")
             q = pathlib.Path(p)
             return str(q if q.is_absolute() else base / q)
 
@@ -109,18 +129,21 @@ class ExperimentConfig:
             extra = set(d) - {"kind", "spec", "test_points"}
             if extra:
                 raise ConfigError(f"unknown data keys: {sorted(extra)}")
-            source = MogSource(resolve(d["spec"]), d.get("test_points", 5000))
+            source = MogSource(resolve("data.spec", d.get("spec")),
+                               d.get("test_points", 5000))
         elif kind == "libsvm":
             extra = set(d) - {"kind", "train", "test"}
             if extra:
                 raise ConfigError(f"unknown data keys: {sorted(extra)}")
-            source = LibsvmSource(resolve(d["train"]), resolve(d["test"]))
+            source = LibsvmSource(resolve("data.train", d.get("train")),
+                                  resolve("data.test", d.get("test")))
         else:
             raise ConfigError("data.kind must be 'mog' or 'libsvm'")
         try:
             return cls(hyperparams=params, data=source,
                        checkpoints=tuple(doc["checkpoints"]),
-                       runs=doc["runs"], out_dir=resolve(doc["out_dir"]),
+                       runs=doc["runs"],
+                       out_dir=resolve("out_dir", doc["out_dir"]),
                        passes=doc.get("passes", 1),
                        probe_points=doc.get("probe_points", 256),
                        clip_sample=doc.get("clip_sample", 1000),
@@ -189,10 +212,9 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path, columns, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def run_experiment(config: ExperimentConfig, ctx: DataContext,
@@ -268,8 +290,8 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
                     f"active leaves > {params.fringe_capacity}")
         forest_acc, tree_accs = evaluate(forest, test_points)
         last_tree_accs = tree_accs
-        mean_acc = sum(tree_accs) / len(tree_accs)
-        std_acc = (sum((a - mean_acc) ** 2 for a in tree_accs)
+        mean_acc = sum_in_order(tree_accs) / len(tree_accs)
+        std_acc = (sum_in_order((a - mean_acc) ** 2 for a in tree_accs)
                    / len(tree_accs)) ** 0.5
         med_diam, min_est, med_est = probe_stats(forest, probes, clip_box)
         record = Checkpoint(
@@ -286,6 +308,9 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
 
     split_rows.sort(key=lambda r: (r[0], r[1]))
     act_rows.sort(key=lambda r: (r[0], r[1]))
+    # every artifact is renamed into place once complete, and run.json goes
+    # last: a run directory without it is unfinished and fails `diagnose`
+    (run_dir / "run.json").unlink(missing_ok=True)
     _write_csv(run_dir / "curves.csv", CURVES_COLUMNS, curve_rows)
     _write_csv(run_dir / "splits.csv", SPLITS_COLUMNS, split_rows)
     _write_csv(run_dir / "activations.csv", ACTIVATIONS_COLUMNS, act_rows)
@@ -301,9 +326,8 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
         "checkpoints": summary,
         "runtime_sec": round(time.monotonic() - t_start, 3),
     }
-    with open(run_dir / "run.json", "w") as fh:
-        json.dump(run_doc, fh, indent=1)
-        fh.write("\n")
+    write_atomic(run_dir / "run.json",
+                 (json.dumps(run_doc, indent=1) + "\n").encode())
     return RunResult(run_dir=run_dir, seed=seed, checkpoints=cp_records,
                      bayes_accuracy=bayes_accuracy,
                      final_tree_accuracies=last_tree_accs)

@@ -12,7 +12,7 @@ import io
 import json
 
 from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream,
-                      majority)
+                      majority, write_atomic)
 from orf.tree import SERIALIZATION_VERSION, OnlineTree
 
 FOREST_FORMAT = "orf-forest"
@@ -107,8 +107,7 @@ class OnlineForest:
             return cls.from_doc(json.loads(zf.read().decode()))
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        write_atomic(path, self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "OnlineForest":

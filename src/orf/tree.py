@@ -42,9 +42,6 @@ class ClassHistogram:
         self.counts[y] += 1
         self.total += 1
 
-    def copy(self) -> "ClassHistogram":
-        return ClassHistogram(counts=self.counts)
-
     def __eq__(self, other):
         return isinstance(other, ClassHistogram) and self.counts == other.counts
 
@@ -53,18 +50,27 @@ class ClassHistogram:
 
 
 class CandidateSplit:
+    """A candidate split with flat per-class counts on each side.
+
+    `ls`/`rs` count structure labels left/right of the threshold and
+    `le`/`re` estimation labels; `nle`/`nre` are the estimation totals the
+    alpha gate reads. Structure totals are summed when a gain needs them.
+    """
+
     __slots__ = ("dim", "threshold", "creation_order",
-                 "left_struct", "right_struct", "left_est", "right_est")
+                 "ls", "rs", "le", "re", "nle", "nre")
 
     def __init__(self, dim: int, threshold: float, creation_order: int,
                  n_classes: int):
         self.dim = dim
         self.threshold = threshold
         self.creation_order = creation_order
-        self.left_struct = ClassHistogram(n_classes)
-        self.right_struct = ClassHistogram(n_classes)
-        self.left_est = ClassHistogram(n_classes)
-        self.right_est = ClassHistogram(n_classes)
+        self.ls = [0] * n_classes
+        self.rs = [0] * n_classes
+        self.le = [0] * n_classes
+        self.re = [0] * n_classes
+        self.nle = 0
+        self.nre = 0
 
 
 class Leaf:
@@ -108,37 +114,81 @@ class SplitRecord:
     right_est: int
 
 
+# Entropy terms for counts below _TABLE_SIZE, built from the very
+# expressions a direct loop would evaluate, so lookups are bit-identical.
+_TABLE_SIZE = 1024
+_XLOG2X = (0.0,) + tuple(c * math.log2(c) for c in range(1, _TABLE_SIZE))
+_LOG2 = (0.0,) + tuple(math.log2(n) for n in range(1, _TABLE_SIZE))
+
+
+class _Direct:
+    """Stand-in for a table past its end: evaluates the entry on demand."""
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, c):
+        return self.fn(c) if c else 0.0
+
+
+_DIRECT_XLOG2X = _Direct(lambda c: c * math.log2(c))
+_DIRECT_LOG2 = _Direct(math.log2)
+
+
+def _tables(n: int):
+    """c·log2(c) and log2(c) lookups valid for every count c <= n."""
+    if n < _TABLE_SIZE:
+        return _XLOG2X, _LOG2
+    return _DIRECT_XLOG2X, _DIRECT_LOG2
+
+
 def entropy(h: ClassHistogram) -> float:
     """Label entropy in bits; empty and pure histograms are exactly zero."""
-    n = h.total
-    if n == 0:
+    n, counts = h.total, h.counts
+    if n == 0 or n in counts:
         return 0.0
+    xlog2x, log2 = _tables(n)
     acc = 0.0
-    occupied = 0
-    for c in h.counts:
-        if c:
-            occupied += 1
-            acc += c * math.log2(c)
-    if occupied <= 1:
-        return 0.0
-    v = math.log2(n) - acc / n
+    for c in counts:        # left to right; the zero terms add exactly
+        acc += xlog2x[c]
+    v = log2[n] - acc / n
     return v if v > 0.0 else 0.0
 
 
 def information_gain(s: CandidateSplit) -> float:
-    """Entropy reduction of the structure-stream labels under s, in bits."""
-    nl, nr = s.left_struct.total, s.right_struct.total
+    """Entropy reduction of the structure-stream labels under s, in bits.
+
+    Computes H(parent) - nl/n*H(left) - nr/n*H(right) with the rounding of
+    `entropy` applied to each side, in one pass over both count lists.
+    """
+    ls, rs = s.ls, s.rs
+    nl, nr = sum(ls), sum(rs)
     n = nl + nr
     if n == 0:
         return 0.0
-    parent = ClassHistogram(counts=[a + b for a, b in
-                                    zip(s.left_struct.counts,
-                                        s.right_struct.counts)])
-    g = entropy(parent)
-    if nl:
-        g -= nl / n * entropy(s.left_struct)
-    if nr:
-        g -= nr / n * entropy(s.right_struct)
+    l_pure = nl == 0 or nl in ls
+    r_pure = nr == 0 or nr in rs
+    if l_pure and r_pure and (nl == 0 or nr == 0
+                              or ls.index(nl) == rs.index(nr)):
+        return 0.0          # the parent is pure, so every entropy is zero
+    xlog2x, log2 = _tables(n)
+    acc_p = acc_l = acc_r = 0.0
+    for a, b in zip(ls, rs):
+        acc_p += xlog2x[a + b]
+        acc_l += xlog2x[a]
+        acc_r += xlog2x[b]
+    g = log2[n] - acc_p / n
+    if g <= 0.0:
+        g = 0.0
+    if not l_pure:
+        v = log2[nl] - acc_l / nl
+        if v > 0.0:
+            g -= nl / n * v
+    if not r_pure:
+        v = log2[nr] - acc_r / nr
+        if v > 0.0:
+            g -= nr / n * v
     # integer-count entropies can round a zero gain a hair negative
     return g if g > 0.0 else 0.0
 
@@ -163,7 +213,7 @@ def _best_valid(leaf: Leaf, params: HyperParams):
     best = None
     best_gain = -1.0
     for s in leaf.candidate_splits:
-        if s.left_est.total >= a and s.right_est.total >= a:
+        if s.nle >= a and s.nre >= a:
             g = information_gain(s)
             if g > best_gain:
                 best, best_gain = s, g
@@ -262,9 +312,12 @@ class OnlineTree:
                 self.fringe.record_estimation_arrival(leaf, y)
             leaf.est_hist.add(y)
             for s in leaf.candidate_splits:
-                h = s.left_est if x[s.dim] <= s.threshold else s.right_est
-                h.counts[y] += 1
-                h.total += 1
+                if x[s.dim] <= s.threshold:
+                    s.le[y] += 1
+                    s.nle += 1
+                else:
+                    s.re[y] += 1
+                    s.nre += 1
             return None
         # structure point
         if not leaf.active:
@@ -272,9 +325,7 @@ class OnlineTree:
         if leaf.n_split_points_seen < self.params.m:
             create_candidate_splits(leaf, x, self.n_classes)
         for s in leaf.candidate_splits:
-            h = s.left_struct if x[s.dim] <= s.threshold else s.right_struct
-            h.counts[y] += 1
-            h.total += 1
+            (s.ls if x[s.dim] <= s.threshold else s.rs)[y] += 1
         best, gain = _best_valid(leaf, self.params)
         if best is not None and (gain > self.params.tau
                                  or must_split(leaf, self.params)):
@@ -285,18 +336,17 @@ class OnlineTree:
                        t: int) -> SplitRecord:
         d = leaf.depth
         a = alpha(self.params, d)
-        if s.left_est.total < a or s.right_est.total < a:
+        if s.nle < a or s.nre < a:
             raise InvariantViolation(
                 f"validity gate: split at depth {d} with child estimation "
-                f"counts ({s.left_est.total}, {s.right_est.total}) < {a}")
-        left = self._new_leaf(d + 1, s.left_est.copy(), t)
-        right = self._new_leaf(d + 1, s.right_est.copy(), t)
+                f"counts ({s.nle}, {s.nre}) < {a}")
+        left = self._new_leaf(d + 1, ClassHistogram(counts=s.le), t)
+        right = self._new_leaf(d + 1, ClassHistogram(counts=s.re), t)
         self.nodes[leaf.node_id] = InternalNode(
             leaf.node_id, s.dim, s.threshold, left.node_id, right.node_id)
         self.split_count += 1
         record = SplitRecord(t=t, depth=d, dim=s.dim, threshold=s.threshold,
-                             gain=gain, left_est=s.left_est.total,
-                             right_est=s.right_est.total)
+                             gain=gain, left_est=s.nle, right_est=s.nre)
         self.pending_splits.append(record)
         self.fringe.on_leaf_split(self, leaf, left, right, t)
         return record
@@ -324,10 +374,8 @@ class OnlineTree:
                        "created_at": node.created_at,
                        "cands": [{"dim": s.dim, "thr": s.threshold,
                                   "order": s.creation_order,
-                                  "ls": s.left_struct.counts,
-                                  "rs": s.right_struct.counts,
-                                  "le": s.left_est.counts,
-                                  "re": s.right_est.counts}
+                                  "ls": s.ls, "rs": s.rs,
+                                  "le": s.le, "re": s.re}
                                  for s in node.candidate_splits]}
                 if node.stats is not None:
                     doc["stats"] = {
@@ -369,10 +417,9 @@ class OnlineTree:
             for cd in nd["cands"]:
                 s = CandidateSplit(cd["dim"], cd["thr"], cd["order"],
                                    n_classes)
-                s.left_struct = ClassHistogram(counts=cd["ls"])
-                s.right_struct = ClassHistogram(counts=cd["rs"])
-                s.left_est = ClassHistogram(counts=cd["le"])
-                s.right_est = ClassHistogram(counts=cd["re"])
+                s.ls, s.rs = list(cd["ls"]), list(cd["rs"])
+                s.le, s.re = list(cd["le"]), list(cd["re"])
+                s.nle, s.nre = sum(s.le), sum(s.re)
                 leaf.candidate_splits.append(s)
             if "stats" in nd:
                 st = nd["stats"]

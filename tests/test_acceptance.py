@@ -125,11 +125,9 @@ def test_criterion_5a_information_gain_bounds():
     for _ in range(10_000):
         C = rng.randint(2, 7)
         s = CandidateSplit(0, 0.5, 0, C)
-        for h in (s.left_struct, s.right_struct):
+        for counts in (s.ls, s.rs):
             for k in range(C):
-                c = rng.randint(0, 40)
-                h.counts[k] = c
-                h.total += c
+                counts[k] = rng.randint(0, 40)
         g = information_gain(s)
         assert 0.0 <= g <= math.log2(C) + 1e-9
         worst = max(worst, g - math.log2(C))

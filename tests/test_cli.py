@@ -217,6 +217,83 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("runs", 1.5), ("runs", True), ("passes", 1.0),
+        ("probe_points", 2.5), ("clip_sample", "200"),
+        ("checkpoints", [200, 600.5]), ("checkpoints", [True, 600]),
+        ("clip_margin", "0.1"), ("clip_margin", float("inf")),
+        ("clip_margin", False),
+    ])
+    def test_train_mistyped_config_exit_2(self, tmp_path, capsys, key,
+                                          value):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(tiny_config_doc(**{key: value})))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [2.5, True, "200"])
+    def test_train_mistyped_test_points_exit_2(self, tmp_path, capsys,
+                                               value):
+        doc = tiny_config_doc()
+        doc["data"]["test_points"] = value
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "test_points" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("over, key", [
+        ({"data": {"kind": "mog", "spec": 5}}, "data.spec"),
+        ({"data": {"kind": "mog"}}, "data.spec"),
+        ({"data": {"kind": "libsvm", "train": "a"}}, "data.test"),
+        ({"out_dir": 5}, "out_dir"),
+    ])
+    def test_train_bad_path_exit_2(self, tmp_path, capsys, over, key):
+        cfg = write_config(tmp_path, **over)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_failed_save_leaves_unfinished_run(self, tmp_path, capsys,
+                                               monkeypatch):
+        """A save that fails mid-run leaves no partial file under a final
+        name and no run.json, so `diagnose` reports missing artifacts."""
+        from orf.forest import OnlineForest
+
+        def failing_to_bytes(forest):
+            raise OSError("disk full")
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        run_dir = tmp_path / "out" / "run00"
+        before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
+        monkeypatch.setattr(OnlineForest, "to_bytes", failing_to_bytes)
+        with pytest.raises(OSError, match="disk full"):
+            main(["train", "--config", str(cfg), "--seed", "8"])
+        names = sorted(f.name for f in run_dir.iterdir())
+        assert "run.json" not in names
+        assert not [n for n in names if n.endswith(".tmp")]
+        # the old forest stays whole; the CSVs are the new run's, complete
+        assert (run_dir / "forest.json.gz").read_bytes() == \
+            before["forest.json.gz"]
+        for name in ("curves.csv", "splits.csv", "activations.csv"):
+            assert (run_dir / name).read_text().endswith("\n")
+        capsys.readouterr()
+        assert main(["diagnose", str(tmp_path / "out")]) == 3
+        assert "missing run.json" in capsys.readouterr().err
+
+    def test_failed_write_keeps_old_file_whole(self, tmp_path, monkeypatch):
+        import orf.core
+
+        def failing_replace(src, dst):
+            raise OSError("rename failed")
+        path = tmp_path / "a.csv"
+        orf.core.write_atomic(path, b"old\n")
+        monkeypatch.setattr(orf.core.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            orf.core.write_atomic(path, b"new, longer content\n")
+        assert path.read_bytes() == b"old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["a.csv"]
+
     def test_train_seed_out_of_range_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg),

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orf.core import (SCHEDULE_CAP, HyperParams, LabeledPoint, RngStream,
-                      StreamAssignment, alpha, assign_stream, beta)
+                      StreamAssignment, alpha, assign_stream, beta,
+                      sum_in_order)
 
 
 def make_params(**over):
@@ -205,3 +206,23 @@ class TestRngStream:
         clone = RngStream.from_state(state)
         assert [rng.uniform() for _ in range(50)] == [clone.uniform() for _ in range(50)]
         assert clone.child(1).uniform() == rng.child(1).uniform()
+
+
+def _compensated_sum(values):
+    """builtin sum() of floats from Python 3.12 on (Neumaier's method)."""
+    s = c = 0.0
+    for x in values:
+        t = s + x
+        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+        s = t
+    return s + c
+
+
+def test_sum_in_order_is_left_to_right():
+    accs = [0.72155, 0.72445, 0.69331, 0.71121, 0.73188, 0.7298, 0.72317,
+            0.71484, 0.72904, 0.63898]
+    assert repr(sum_in_order(accs)) == "7.11823"
+    # what a compensated sum gives: it would change curves.csv bytes
+    assert repr(_compensated_sum(accs)) == "7.1182300000000005"
+    assert sum_in_order([]) == 0.0
+    assert sum_in_order(iter([1, 0.5])) == 1.5

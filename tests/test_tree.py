@@ -9,9 +9,9 @@ from conftest import (drive, leaf_cells, leaf_cells_in_order,
                       load_tiny_fixture, make_params, synthetic_stream,
                       tree_skeleton)
 from orf.core import InvariantViolation, RngStream, StreamAssignment
-from orf.tree import (CandidateSplit, ClassHistogram, Leaf, OnlineTree,
-                      _best_valid, create_candidate_splits, entropy,
-                      information_gain, must_split)
+from orf.tree import (_TABLE_SIZE, CandidateSplit, ClassHistogram, Leaf,
+                      OnlineTree, _best_valid, create_candidate_splits,
+                      entropy, information_gain, must_split)
 
 E, S, SKIP = (StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE,
               StreamAssignment.SKIP)
@@ -23,10 +23,10 @@ def hist(counts):
 
 def cand(dim=0, thr=0.5, order=0, ls=None, rs=None, le=None, re=None, C=2):
     s = CandidateSplit(dim, thr, order, C)
-    for name, val in (("left_struct", ls), ("right_struct", rs),
-                      ("left_est", le), ("right_est", re)):
+    for name, val in (("ls", ls), ("rs", rs), ("le", le), ("re", re)):
         if val is not None:
-            setattr(s, name, hist(val))
+            setattr(s, name, list(val))
+    s.nle, s.nre = sum(s.le), sum(s.re)
     return s
 
 
@@ -102,6 +102,70 @@ def test_gain_never_exceeds_parent_entropy(ls, rs):
     s = cand(ls=ls[:n], rs=rs[:n], C=n)
     parent = hist([a + b for a, b in zip(ls[:n], rs[:n])])
     assert information_gain(s) <= entropy(parent) + 1e-9
+
+
+# The entropy and gain loops as they stood before the table-driven kernel:
+# the kernel must reproduce them bit for bit, not approximately.
+def reference_entropy(counts):
+    n = sum(counts)
+    if n == 0:
+        return 0.0
+    acc = 0.0
+    occupied = 0
+    for c in counts:
+        if c:
+            occupied += 1
+            acc += c * math.log2(c)
+    if occupied <= 1:
+        return 0.0
+    v = math.log2(n) - acc / n
+    return v if v > 0.0 else 0.0
+
+
+def reference_gain(ls, rs):
+    nl, nr = sum(ls), sum(rs)
+    n = nl + nr
+    if n == 0:
+        return 0.0
+    g = reference_entropy([a + b for a, b in zip(ls, rs)])
+    if nl:
+        g -= nl / n * reference_entropy(ls)
+    if nr:
+        g -= nr / n * reference_entropy(rs)
+    return g if g > 0.0 else 0.0
+
+
+# counts on both sides of the kernel's table bound, up to about 10^5
+count = st.one_of(st.integers(0, 40), st.integers(0, 5000),
+                  st.integers(_TABLE_SIZE - 40, _TABLE_SIZE + 40),
+                  st.integers(4000, 100_000))
+
+
+@st.composite
+def split_counts(draw):
+    """(ls, rs) with C in [2, 12]; sides may be empty, pure or mixed."""
+    C = draw(st.integers(2, 12))
+
+    def side():
+        kind = draw(st.sampled_from(["empty", "pure", "mixed"]))
+        if kind == "empty":
+            return [0] * C
+        if kind == "pure":
+            counts = [0] * C
+            counts[draw(st.integers(0, C - 1))] = draw(count)
+            return counts
+        return draw(st.lists(count, min_size=C, max_size=C))
+    return side(), side()
+
+
+@given(split_counts())
+@settings(max_examples=1000)
+def test_gain_kernel_bit_identical_to_reference(sides):
+    ls, rs = sides
+    assert information_gain(cand(ls=ls, rs=rs, C=len(ls))) == \
+        reference_gain(ls, rs)
+    for counts in (ls, rs, [a + b for a, b in zip(ls, rs)]):
+        assert entropy(hist(counts)) == reference_entropy(counts)
 
 
 class TestGates:
@@ -183,7 +247,7 @@ class TestCandidateCreation:
         create_candidate_splits(leaf, (9.0, 9.0, 4.0), 2)
         (s,) = leaf.candidate_splits
         assert (s.dim, s.threshold) == (2, 4.0)
-        assert s.left_struct.total == s.left_est.total == 0
+        assert sum(s.ls) == s.nle == 0
 
     def test_projection_two_dims(self):
         leaf = bare_leaf(dims=[0, 1])
@@ -363,8 +427,9 @@ class TestStreamIsolation:
         for leaf in tree.leaves():
             est += leaf.est_hist.total
             for s in leaf.candidate_splits:
-                est += s.left_est.total + s.right_est.total
-                struct += s.left_struct.total + s.right_struct.total
+                assert (s.nle, s.nre) == (sum(s.le), sum(s.re))
+                est += s.nle + s.nre
+                struct += sum(s.ls) + sum(s.rs)
         return est, struct
 
     def test_tagged_counters(self):
