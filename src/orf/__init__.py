@@ -1,9 +1,10 @@
 """Streaming random forests with separate structure and estimation streams.
 
-The names below are the public API. A `Leaf` keeps its estimation counts in
-a `ClassHistogram`; a `CandidateSplit` keeps four flat per-class count lists
-(`ls`, `rs`, `le`, `re`) and its estimation totals (`nle`, `nre`), and
-`information_gain` scores it from a precomputed c·log2(c) table.
+The names below are the public API. Counts are flat per-class lists with
+their totals beside them: a `Leaf` keeps its estimation counts in `est` and
+`n_est`; a `CandidateSplit` keeps four lists (`ls`, `rs`, `le`, `re`) and its
+estimation totals (`nle`, `nre`), and `information_gain` scores it from a
+precomputed c·log2(c) table.
 """
 
 from orf.core import (HyperParams, InvariantViolation, LabeledPoint,
@@ -11,8 +12,8 @@ from orf.core import (HyperParams, InvariantViolation, LabeledPoint,
 from orf.data import (Dataset, MixtureOfGaussians, MogComponent, ParseError,
                       parse_libsvm, stream_schedule)
 from orf.forest import OnlineForest
-from orf.tree import (CandidateSplit, ClassHistogram, Leaf, OnlineTree,
-                      entropy, information_gain, must_split)
+from orf.tree import (CandidateSplit, Leaf, OnlineTree, information_gain,
+                      must_split)
 
 __all__ = [
     "HyperParams", "InvariantViolation", "LabeledPoint", "RngStream",
@@ -20,6 +21,5 @@ __all__ = [
     "Dataset", "MixtureOfGaussians", "MogComponent", "ParseError",
     "parse_libsvm", "stream_schedule",
     "OnlineForest",
-    "CandidateSplit", "ClassHistogram", "Leaf", "OnlineTree", "entropy",
-    "information_gain", "must_split",
+    "CandidateSplit", "Leaf", "OnlineTree", "information_gain", "must_split",
 ]

@@ -5,9 +5,11 @@ Subcommands:
   diagnose     audit a finished run directory's artifacts
   parse-check  validate a LIBSVM-format file
 
-Exit codes: train 0=ok 2=bad config 3=bad/missing data 4=invariant
-violation; diagnose 0=pass 1=invariant failure 3=missing artifacts;
-parse-check 0=valid 1=malformed 3=missing file.
+Exit codes:
+  train        0=ok 2=bad or unreadable config 3=bad, missing or unreadable
+               data 4=invariant violation 5=cannot write artifacts
+  diagnose     0=pass 1=invariant failure 3=missing artifacts
+  parse-check  0=valid 1=malformed 3=missing file
 """
 
 from __future__ import annotations
@@ -36,20 +38,22 @@ def cmd_train(args) -> int:
             config = dataclasses.replace(config, hyperparams=params)
         if args.out is not None:
             config = dataclasses.replace(config, out_dir=args.out)
+        results = run_all(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        results = run_all(config)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # failed reads of the config or the data raise ConfigError or
+        # DataError, so this comes from creating the run directory or
+        # writing a file in it
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return 5
     for res in results:
         last = res.checkpoints[-1]
         line = (f"run {res.run_dir.name}: t={last.t} "

@@ -29,17 +29,6 @@ class Dataset:
     n_classes: int
     labels: list  # original label values, sorted; index = class id
 
-    @property
-    def label_map(self) -> dict:
-        return {orig: i for i, orig in enumerate(self.labels)}
-
-    def __eq__(self, other):
-        return (isinstance(other, Dataset)
-                and self.n_features == other.n_features
-                and self.n_classes == other.n_classes
-                and self.labels == other.labels
-                and self.points == other.points)
-
 
 def _parse_label(tok: str, lineno: int):
     try:
@@ -137,19 +126,16 @@ def align_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     return rebuild(train), rebuild(test)
 
 
-def stream_schedule(ds: Dataset, passes: int, rng: RngStream | None,
-                    shuffle: bool = True) -> list[LabeledPoint]:
+def stream_schedule(ds: Dataset, passes: int,
+                    rng: RngStream) -> list[LabeledPoint]:
     """Concatenation of `passes` independently shuffled passes."""
     if passes < 1:
         raise ValueError("passes must be >= 1")
     out = []
     n = len(ds.points)
     for _ in range(passes):
-        if shuffle:
-            order = rng.permutation(n)
-            out.extend(ds.points[i] for i in order)
-        else:
-            out.extend(ds.points)
+        order = rng.permutation(n)
+        out.extend(ds.points[i] for i in order)
     return out
 
 
@@ -194,9 +180,24 @@ class MixtureOfGaussians:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MixtureOfGaussians":
-        comps = [MogComponent(c["weight"], tuple(c["mean"]), tuple(c["var"]),
-                              c["label"])
-                 for c in doc["components"]]
+        """Mixture from its JSON spec. Raises ValueError when a weight, mean
+        or variance entry is not a finite number, or a label or the class
+        count is not an integer."""
+        comps = []
+        for c in doc["components"]:
+            weight, mean, var, label = (c["weight"], list(c["mean"]),
+                                        list(c["var"]), c["label"])
+            for v in [weight, *mean, *var]:
+                # exact types: bool is an int subclass and must not pass
+                if type(v) not in (int, float) or not math.isfinite(v):
+                    raise ValueError(f"weight, mean and var entries must be "
+                                     f"finite numbers, got {v!r}")
+            if type(label) is not int:
+                raise ValueError(f"label must be an integer, got {label!r}")
+            comps.append(MogComponent(weight, tuple(mean), tuple(var), label))
+        if type(doc["n_classes"]) is not int:
+            raise ValueError(f"n_classes must be an integer, got "
+                             f"{doc['n_classes']!r}")
         return cls(comps, doc["n_classes"])
 
     def to_json(self) -> dict:

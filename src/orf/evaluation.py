@@ -105,7 +105,7 @@ def probe_stats(forest, probes, clip_box):
         for tree in forest.trees:
             leaf, extents = tree.cell(x)
             diams.append(cell_diameter(extents, clip_box))
-            est_counts.append(leaf.est_hist.total)
+            est_counts.append(leaf.n_est)
     return (statistics.median(diams), min(est_counts),
             statistics.median(est_counts))
 

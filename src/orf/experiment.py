@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import pathlib
 import time
 from dataclasses import dataclass
@@ -116,6 +117,14 @@ class ExperimentConfig:
         def resolve(key, p):
             if type(p) is not str:
                 raise ConfigError(f"{key} must be a path string, got {p!r}")
+            # the OS refuses a NUL byte, and a string that the file system
+            # encoding cannot encode (a lone surrogate, say)
+            try:
+                usable = b"\0" not in os.fsencode(p)
+            except UnicodeEncodeError:
+                usable = False
+            if not usable:
+                raise ConfigError(f"{key} is not a usable path: {p!r}")
             q = pathlib.Path(p)
             return str(q if q.is_absolute() else base / q)
 
@@ -160,6 +169,9 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") \
+                from None
         return cls.from_json(doc, base_dir=path.parent)
 
 
@@ -179,7 +191,11 @@ def load_data(config: ExperimentConfig) -> DataContext:
             gen = MixtureOfGaussians.load(src.spec)
         except FileNotFoundError:
             raise DataError(f"mixture spec not found: {src.spec}") from None
-        except (ValueError, KeyError) as exc:
+        except OSError as exc:
+            raise DataError(f"cannot read mixture spec {src.spec}: "
+                            f"{exc}") from None
+        except (ValueError, KeyError, TypeError) as exc:
+            # a decoding error or an entry of the wrong kind or shape
             raise DataError(f"bad mixture spec {src.spec}: {exc}") from None
         return DataContext(gen.n_features, gen.n_classes, mog=gen)
     try:
@@ -187,6 +203,8 @@ def load_data(config: ExperimentConfig) -> DataContext:
         test = parse_libsvm(pathlib.Path(src.test).read_text())
     except FileNotFoundError as exc:
         raise DataError(f"data file not found: {exc.filename}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read data file: {exc}") from None
     except ParseError as exc:
         raise DataError(str(exc)) from None
     train, test = align_pair(train, test)

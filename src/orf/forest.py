@@ -13,9 +13,10 @@ import json
 
 from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream,
                       majority, write_atomic)
-from orf.tree import SERIALIZATION_VERSION, OnlineTree
+from orf.tree import OnlineTree
 
 FOREST_FORMAT = "orf-forest"
+FOREST_VERSION = 2  # the only layout `from_doc` reads
 
 
 class OnlineForest:
@@ -75,7 +76,7 @@ class OnlineForest:
 
     def to_doc(self) -> dict:
         return {"format": FOREST_FORMAT,
-                "version": SERIALIZATION_VERSION,
+                "version": FOREST_VERSION,
                 "params": self.params.to_json(),
                 "n_features": self.n_features,
                 "n_classes": self.n_classes,
@@ -86,6 +87,9 @@ class OnlineForest:
     def from_doc(cls, doc: dict) -> "OnlineForest":
         if doc.get("format") != FOREST_FORMAT:
             raise ValueError("not a forest document")
+        if doc.get("version") != FOREST_VERSION:
+            raise ValueError(f"unsupported forest format version "
+                             f"{doc.get('version')!r}; regenerate the run")
         params = HyperParams.from_json(doc["params"])
         forest = cls(params, doc["n_features"], doc["n_classes"], _empty=True)
         forest.t = doc["t"]

@@ -55,14 +55,12 @@ def score(stats: InactiveLeafStats,
 class FringeState:
     """Per-tree active/inactive bookkeeping. capacity=None disables it."""
 
-    __slots__ = ("capacity", "active_ids", "inactive_ids", "retired_count",
-                 "activation_hook")
+    __slots__ = ("capacity", "active_ids", "inactive_ids", "activation_hook")
 
     def __init__(self, capacity: int | None):
         self.capacity = capacity
         self.active_ids: set[int] = set()
         self.inactive_ids: set[int] = set()
-        self.retired_count = 0
         # test instrumentation: called as hook(tree) right before each
         # activation choice
         self.activation_hook = None
@@ -78,41 +76,38 @@ class FringeState:
     def record_estimation_arrival(self, leaf, y: int) -> None:
         """Update an inactive leaf's counters for one arriving point.
 
-        Must run before the point enters leaf.est_hist: the error is scored
+        Must run before the point enters leaf.est: the error is scored
         prequentially, against the majority class as of the arrival.
         """
         stats = leaf.stats
         stats.n_est_in_leaf += 1
-        if y != majority(leaf.est_hist.counts):
+        if y != majority(leaf.est):
             stats.n_errors += 1
 
-    def on_leaf_split(self, tree, parent, left, right, t: int) -> list[int]:
+    def on_leaf_split(self, tree, parent, left, right, t: int) -> None:
         """Retire a just-split leaf, enroll its children, refill capacity.
 
-        Returns the node ids activated (possibly both children, while the
-        tree is smaller than the capacity; exactly one at steady state).
+        While the tree is smaller than the capacity both children activate;
+        at steady state exactly one leaf does.
         """
         self.active_ids.discard(parent.node_id)
-        self.retired_count += 1
         if not self.bounded:
             for child in (left, right):
                 child.active = True
                 self.active_ids.add(child.node_id)
-            return []
+            return
         for child in (left, right):
             child.stats = InactiveLeafStats(
                 est_tree_at_creation=tree.total_est_seen)
             self.inactive_ids.add(child.node_id)
-        activated = []
         while len(self.active_ids) < self.capacity and self.inactive_ids:
             if self.activation_hook is not None:
                 self.activation_hook(tree)
-            activated.append(self._activate_best(tree, t))
+            self._activate_best(tree, t)
         if len(self.active_ids) > self.capacity:
             raise InvariantViolation(
                 f"fringe capacity exceeded: {len(self.active_ids)} active "
                 f"> {self.capacity}")
-        return activated
 
     def _activate_best(self, tree, t: int) -> int:
         scored = []

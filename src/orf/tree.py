@@ -11,8 +11,9 @@ candidate has both estimation children at alpha(d) or more, and either the
 best such candidate's information gain exceeds tau or the leaf itself holds
 beta(d) or more estimation points.
 
-Leaves store no geometry: a leaf's cell is derived by walking the split
-nodes from the root (`OnlineTree.cell`).
+Leaves and candidates count classes the same way, in a flat per-class
+list with its total beside it. Leaves store no geometry: a leaf's cell is
+derived by walking the split nodes from the root (`OnlineTree.cell`).
 """
 
 from __future__ import annotations
@@ -24,47 +25,20 @@ from orf.core import HyperParams, InvariantViolation, RngStream, \
     StreamAssignment, alpha, beta, majority
 from orf.fringe import FringeState, InactiveLeafStats
 
-SERIALIZATION_VERSION = 1
-
-
-class ClassHistogram:
-    __slots__ = ("counts", "total")
-
-    def __init__(self, n_classes: int = 0, counts: list[int] | None = None):
-        if counts is not None:
-            self.counts = list(counts)
-            self.total = sum(counts)
-        else:
-            self.counts = [0] * n_classes
-            self.total = 0
-
-    def add(self, y: int) -> None:
-        self.counts[y] += 1
-        self.total += 1
-
-    def __eq__(self, other):
-        return isinstance(other, ClassHistogram) and self.counts == other.counts
-
-    def __repr__(self):
-        return f"ClassHistogram({self.counts})"
-
-
 class CandidateSplit:
     """A candidate split with flat per-class counts on each side.
 
     `ls`/`rs` count structure labels left/right of the threshold and
     `le`/`re` estimation labels; `nle`/`nre` are the estimation totals the
     alpha gate reads. Structure totals are summed when a gain needs them.
+    A candidate's creation order is its index in `Leaf.candidate_splits`.
     """
 
-    __slots__ = ("dim", "threshold", "creation_order",
-                 "ls", "rs", "le", "re", "nle", "nre")
+    __slots__ = ("dim", "threshold", "ls", "rs", "le", "re", "nle", "nre")
 
-    def __init__(self, dim: int, threshold: float, creation_order: int,
-                 n_classes: int):
+    def __init__(self, dim: int, threshold: float, n_classes: int):
         self.dim = dim
         self.threshold = threshold
-        self.creation_order = creation_order
         self.ls = [0] * n_classes
         self.rs = [0] * n_classes
         self.le = [0] * n_classes
@@ -74,29 +48,32 @@ class CandidateSplit:
 
 
 class Leaf:
-    __slots__ = ("node_id", "depth", "est_hist", "candidate_dims",
-                 "candidate_splits", "n_split_points_seen", "active",
-                 "created_at", "stats")
+    """A leaf with its estimation counts: `est` per class, `n_est` in all.
 
-    def __init__(self, node_id: int, depth: int, est_hist: ClassHistogram,
+    Every structure point it has projected added one candidate per
+    candidate dimension, so that count is derived from the two lists.
+    """
+
+    __slots__ = ("node_id", "depth", "est", "n_est", "candidate_dims",
+                 "candidate_splits", "active", "created_at", "stats")
+
+    def __init__(self, node_id: int, depth: int, est: list[int], n_est: int,
                  candidate_dims: list[int], created_at: int):
         self.node_id = node_id
         self.depth = depth
-        self.est_hist = est_hist
+        self.est = est
+        self.n_est = n_est
         self.candidate_dims = candidate_dims
         self.candidate_splits: list[CandidateSplit] = []
-        self.n_split_points_seen = 0
         self.active = False
         self.created_at = created_at
         self.stats: InactiveLeafStats | None = None
 
 
 class InternalNode:
-    __slots__ = ("node_id", "dim", "threshold", "left", "right")
+    __slots__ = ("dim", "threshold", "left", "right")
 
-    def __init__(self, node_id: int, dim: int, threshold: float,
-                 left: int, right: int):
-        self.node_id = node_id
+    def __init__(self, dim: int, threshold: float, left: int, right: int):
         self.dim = dim
         self.threshold = threshold
         self.left = left    # child node ids into the tree's arena
@@ -143,24 +120,13 @@ def _tables(n: int):
     return _DIRECT_XLOG2X, _DIRECT_LOG2
 
 
-def entropy(h: ClassHistogram) -> float:
-    """Label entropy in bits; empty and pure histograms are exactly zero."""
-    n, counts = h.total, h.counts
-    if n == 0 or n in counts:
-        return 0.0
-    xlog2x, log2 = _tables(n)
-    acc = 0.0
-    for c in counts:        # left to right; the zero terms add exactly
-        acc += xlog2x[c]
-    v = log2[n] - acc / n
-    return v if v > 0.0 else 0.0
-
-
 def information_gain(s: CandidateSplit) -> float:
     """Entropy reduction of the structure-stream labels under s, in bits.
 
-    Computes H(parent) - nl/n*H(left) - nr/n*H(right) with the rounding of
-    `entropy` applied to each side, in one pass over both count lists.
+    Computes H(parent) - nl/n*H(left) - nr/n*H(right) in one pass over
+    both count lists, where H(counts) = log2(n) - sum(c·log2(c))/n with the
+    terms added left to right; H is exactly zero on an empty or pure side
+    and clamped at zero where it rounds below.
     """
     ls, rs = s.ls, s.rs
     nl, nr = sum(ls), sum(rs)
@@ -171,7 +137,7 @@ def information_gain(s: CandidateSplit) -> float:
     r_pure = nr == 0 or nr in rs
     if l_pure and r_pure and (nl == 0 or nr == 0
                               or ls.index(nl) == rs.index(nr)):
-        return 0.0          # the parent is pure, so every entropy is zero
+        return 0.0          # the parent is pure, so every H is zero
     xlog2x, log2 = _tables(n)
     acc_p = acc_l = acc_r = 0.0
     for a, b in zip(ls, rs):
@@ -195,20 +161,17 @@ def information_gain(s: CandidateSplit) -> float:
 
 def create_candidate_splits(leaf: Leaf, x, n_classes: int) -> None:
     """Project one structure point onto the leaf's candidate dimensions."""
-    order = len(leaf.candidate_splits)
     for d in leaf.candidate_dims:
-        leaf.candidate_splits.append(
-            CandidateSplit(d, x[d], order, n_classes))
-        order += 1
-    leaf.n_split_points_seen += 1
+        leaf.candidate_splits.append(CandidateSplit(d, x[d], n_classes))
 
 
 def must_split(leaf: Leaf, params: HyperParams) -> bool:
-    return leaf.est_hist.total >= beta(params, leaf.depth)
+    return leaf.n_est >= beta(params, leaf.depth)
 
 
 def _best_valid(leaf: Leaf, params: HyperParams):
-    """Best valid candidate and its gain; earliest creation wins ties."""
+    """Best valid candidate and its gain; the earliest created (first in
+    the list) wins ties."""
     a = alpha(params, leaf.depth)
     best = None
     best_gain = -1.0
@@ -232,23 +195,27 @@ class OnlineTree:
         self.n_classes = n_classes
         self.rng = rng
         self.nodes: list = []
-        self.split_count = 0
         self.total_est_seen = 0
         self.fringe = FringeState(params.fringe_capacity)
         self.pending_splits: list[SplitRecord] = []
         self.pending_activations: list = []
         if _empty:
             return
-        root = self._new_leaf(depth=0, est_hist=ClassHistogram(n_classes),
+        root = self._new_leaf(depth=0, est=[0] * n_classes, n_est=0,
                               created_at=0)
         self.fringe.register_root(root)
 
+    @property
+    def split_count(self) -> int:
+        """Every split turns one leaf into a split node and adds two."""
+        return (len(self.nodes) - 1) // 2
+
     # -- construction helpers ---------------------------------------------
 
-    def _new_leaf(self, depth, est_hist, created_at) -> Leaf:
+    def _new_leaf(self, depth, est, n_est, created_at) -> Leaf:
         k = min(1 + self.rng.poisson(self.params.lam), self.n_features)
         dims = self.rng.sample_distinct(self.n_features, k)
-        leaf = Leaf(len(self.nodes), depth, est_hist, dims, created_at)
+        leaf = Leaf(len(self.nodes), depth, est, n_est, dims, created_at)
         self.nodes.append(leaf)
         return leaf
 
@@ -290,13 +257,13 @@ class OnlineTree:
         return node, list(zip(lo, hi))
 
     def predict_posterior(self, x) -> list[float]:
-        h = self.route(x).est_hist
-        if h.total == 0:
+        leaf = self.route(x)
+        if leaf.n_est == 0:
             return [1.0 / self.n_classes] * self.n_classes
-        return [c / h.total for c in h.counts]
+        return [c / leaf.n_est for c in leaf.est]
 
     def predict_class(self, x) -> int:
-        return majority(self.route(x).est_hist.counts)
+        return majority(self.route(x).est)
 
     # -- stream updates ----------------------------------------------------
 
@@ -310,7 +277,8 @@ class OnlineTree:
             self.total_est_seen += 1
             if not leaf.active:
                 self.fringe.record_estimation_arrival(leaf, y)
-            leaf.est_hist.add(y)
+            leaf.est[y] += 1
+            leaf.n_est += 1
             for s in leaf.candidate_splits:
                 if x[s.dim] <= s.threshold:
                     s.le[y] += 1
@@ -322,7 +290,9 @@ class OnlineTree:
         # structure point
         if not leaf.active:
             return None
-        if leaf.n_split_points_seen < self.params.m:
+        # fewer than m structure points projected so far
+        if len(leaf.candidate_splits) < \
+                self.params.m * len(leaf.candidate_dims):
             create_candidate_splits(leaf, x, self.n_classes)
         for s in leaf.candidate_splits:
             (s.ls if x[s.dim] <= s.threshold else s.rs)[y] += 1
@@ -340,11 +310,12 @@ class OnlineTree:
             raise InvariantViolation(
                 f"validity gate: split at depth {d} with child estimation "
                 f"counts ({s.nle}, {s.nre}) < {a}")
-        left = self._new_leaf(d + 1, ClassHistogram(counts=s.le), t)
-        right = self._new_leaf(d + 1, ClassHistogram(counts=s.re), t)
+        # the children take over the winner's estimation counts: the
+        # candidate goes away with the leaf it belonged to
+        left = self._new_leaf(d + 1, s.le, s.nle, t)
+        right = self._new_leaf(d + 1, s.re, s.nre, t)
         self.nodes[leaf.node_id] = InternalNode(
-            leaf.node_id, s.dim, s.threshold, left.node_id, right.node_id)
-        self.split_count += 1
+            s.dim, s.threshold, left.node_id, right.node_id)
         record = SplitRecord(t=t, depth=d, dim=s.dim, threshold=s.threshold,
                              gain=gain, left_est=s.nle, right_est=s.nre)
         self.pending_splits.append(record)
@@ -359,6 +330,7 @@ class OnlineTree:
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
+        """The tree's state; the forest document carries the version."""
         nodes = []
         for node in self.nodes:
             if type(node) is InternalNode:
@@ -367,13 +339,11 @@ class OnlineTree:
                               "left": node.left, "right": node.right})
             else:
                 doc = {"kind": "leaf", "depth": node.depth,
-                       "est": node.est_hist.counts,
+                       "est": node.est,
                        "dims": node.candidate_dims,
-                       "nsp": node.n_split_points_seen,
                        "active": node.active,
                        "created_at": node.created_at,
                        "cands": [{"dim": s.dim, "thr": s.threshold,
-                                  "order": s.creation_order,
                                   "ls": s.ls, "rs": s.rs,
                                   "le": s.le, "re": s.re}
                                  for s in node.candidate_splits]}
@@ -384,39 +354,28 @@ class OnlineTree:
                         "est_tree_at_creation":
                             node.stats.est_tree_at_creation}
                 nodes.append(doc)
-        return {"version": SERIALIZATION_VERSION,
-                "n_features": self.n_features,
+        return {"n_features": self.n_features,
                 "n_classes": self.n_classes,
-                "split_count": self.split_count,
                 "total_est_seen": self.total_est_seen,
                 "rng": self.rng.get_state(),
-                "nodes": nodes,
-                "retired": self.fringe.retired_count}
+                "nodes": nodes}
 
     @classmethod
     def from_doc(cls, doc: dict, params: HyperParams) -> "OnlineTree":
-        if doc["version"] != SERIALIZATION_VERSION:
-            raise ValueError(f"unsupported tree format {doc['version']}")
         tree = cls(params, doc["n_features"], doc["n_classes"],
                    RngStream.from_state(doc["rng"]), _empty=True)
-        tree.split_count = doc["split_count"]
         tree.total_est_seen = doc["total_est_seen"]
-        tree.fringe.retired_count = doc["retired"]
         n_classes = doc["n_classes"]
         for node_id, nd in enumerate(doc["nodes"]):
             if nd["kind"] == "split":
-                tree.nodes.append(InternalNode(node_id, nd["dim"],
-                                               nd["threshold"],
+                tree.nodes.append(InternalNode(nd["dim"], nd["threshold"],
                                                nd["left"], nd["right"]))
                 continue
-            leaf = Leaf(node_id, nd["depth"],
-                        ClassHistogram(counts=nd["est"]),
-                        list(nd["dims"]), nd["created_at"])
-            leaf.n_split_points_seen = nd["nsp"]
+            leaf = Leaf(node_id, nd["depth"], list(nd["est"]),
+                        sum(nd["est"]), list(nd["dims"]), nd["created_at"])
             leaf.active = nd["active"]
             for cd in nd["cands"]:
-                s = CandidateSplit(cd["dim"], cd["thr"], cd["order"],
-                                   n_classes)
+                s = CandidateSplit(cd["dim"], cd["thr"], n_classes)
                 s.ls, s.rs = list(cd["ls"]), list(cd["rs"])
                 s.le, s.re = list(cd["le"]), list(cd["re"])
                 s.nle, s.nre = sum(s.le), sum(s.re)

@@ -86,9 +86,9 @@ def tree_skeleton(tree):
     from orf.tree import InternalNode
     cells = leaf_cells(tree)
     out = []
-    for node in tree.nodes:
+    for node_id, node in enumerate(tree.nodes):
         if type(node) is InternalNode:
-            out.append(("split", node.node_id, node.dim, node.threshold,
+            out.append(("split", node_id, node.dim, node.threshold,
                         node.left, node.right))
         else:
             out.append(("leaf", node.node_id, node.depth, node.created_at,

@@ -109,7 +109,7 @@ def test_criterion_4_tiny_trace_oracle_equivalence():
     got_leaves = [{"depth": l.depth,
                    "lo": None if math.isinf(c[0][0]) else c[0][0],
                    "hi": None if math.isinf(c[0][1]) else c[0][1],
-                   "est": l.est_hist.counts}
+                   "est": l.est}
                   for l, c in leaf_cells_in_order(tree)]
     ok = (got_splits == doc["expected"]["splits"]
           and got_leaves == doc["expected"]["leaves"])
@@ -124,7 +124,7 @@ def test_criterion_5a_information_gain_bounds():
     worst = 0.0
     for _ in range(10_000):
         C = rng.randint(2, 7)
-        s = CandidateSplit(0, 0.5, 0, C)
+        s = CandidateSplit(0, 0.5, C)
         for counts in (s.ls, s.rs):
             for k in range(C):
                 counts[k] = rng.randint(0, 40)

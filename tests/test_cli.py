@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_params
 from orf.cli import main
@@ -248,6 +255,9 @@ class TestCli:
         ({"data": {"kind": "mog"}}, "data.spec"),
         ({"data": {"kind": "libsvm", "train": "a"}}, "data.test"),
         ({"out_dir": 5}, "out_dir"),
+        ({"out_dir": "a\0b"}, "out_dir"),
+        ({"out_dir": "\ud800"}, "out_dir"),
+        ({"data": {"kind": "mog", "spec": "a\0b"}}, "data.spec"),
     ])
     def test_train_bad_path_exit_2(self, tmp_path, capsys, over, key):
         cfg = write_config(tmp_path, **over)
@@ -267,8 +277,8 @@ class TestCli:
         run_dir = tmp_path / "out" / "run00"
         before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
         monkeypatch.setattr(OnlineForest, "to_bytes", failing_to_bytes)
-        with pytest.raises(OSError, match="disk full"):
-            main(["train", "--config", str(cfg), "--seed", "8"])
+        assert main(["train", "--config", str(cfg), "--seed", "8"]) == 5
+        assert "cannot write artifacts: disk full" in capsys.readouterr().err
         names = sorted(f.name for f in run_dir.iterdir())
         assert "run.json" not in names
         assert not [n for n in names if n.endswith(".tmp")]
@@ -305,3 +315,124 @@ class TestCli:
                      "--seed", str(2 ** 64 - 1)]) == 2
         assert "master_seed + runs - 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, code, message", [
+        ("out_dir_under_dev_null", 5, "cannot write artifacts"),
+        ("out_dir_is_a_file", 5, "cannot write artifacts"),
+        ("spec_is_a_directory", 3, "cannot read mixture spec"),
+        ("spec_mean_is_a_string", 3, "finite numbers"),
+        ("config_is_a_directory", 2, "cannot read config file"),
+        ("config_is_not_utf8", 2, "cannot read config file"),
+    ])
+    def test_train_boundary_inputs_exit_codes(self, tmp_path, capsys, case,
+                                              code, message):
+        """Output that cannot be written, or a spec or config that cannot
+        be read, ends in its documented exit code with a one-line message
+        instead of a traceback."""
+        spec = json.loads(pathlib.Path(MOG_SPEC).read_text())
+        spec["components"][0]["mean"] = "ab"
+        (tmp_path / "bad_spec.json").write_text(json.dumps(spec))
+        (tmp_path / "a_file").write_text("")
+        over = {
+            "out_dir_under_dev_null": {"out_dir": "/dev/null/x"},
+            "out_dir_is_a_file": {"out_dir": "a_file"},
+            "spec_is_a_directory": {"data": {"kind": "mog", "spec": "."}},
+            "spec_mean_is_a_string": {
+                "data": {"kind": "mog", "spec": "bad_spec.json"}},
+        }.get(case, {})
+        cfg = write_config(tmp_path, **over)
+        if case == "config_is_a_directory":
+            cfg = tmp_path
+        elif case == "config_is_not_utf8":
+            cfg.write_bytes(b'{"runs": "\xff"}')
+        assert main(["train", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.splitlines()) == 1
+
+
+# A small valid config; the fuzz test below mutates its keys.
+FUZZ_BASE = {
+    "hyperparams": {
+        "num_trees": 2, "lambda": 1.0, "m": 3, "tau": 0.001,
+        "p_structure": 0.5, "p_skip": 0.0, "alpha_base": 1.0,
+        "alpha_growth": 1.1, "beta_multiplier": 20.0, "fringe_capacity": 4,
+        "master_seed": 7},
+    "data": {"kind": "mog", "spec": MOG_SPEC, "test_points": 50},
+    "checkpoints": [100, 300],
+    "runs": 1,
+    "out_dir": "out",
+    "passes": 1,
+    "probe_points": 16,
+    "clip_sample": 100,
+    "clip_margin": 0.1,
+}
+
+# Keys whose value scales a run's work, with the largest value drawn for
+# each, so that every example stays small; other keys draw any size.
+FUZZ_BOUNDS = {("hyperparams", "num_trees"): 3, ("hyperparams", "lambda"): 4,
+               ("data", "test_points"): 50, ("checkpoints", 0): 300,
+               ("checkpoints", 1): 300, ("runs",): 2, ("probe_points",): 16}
+
+
+def _key_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+FUZZ_PATHS = list(_key_paths(FUZZ_BASE))
+_DELETE = object()
+
+
+def fuzz_values(bound):
+    """Values of every JSON type: bool, null, strings (a NUL byte and a
+    lone surrogate too), floats (NaN and infinities too), negative and
+    small integers and, unless `bound` caps them, integers past 64 bits."""
+    top = 2 ** 70 if bound is None else bound
+    return st.one_of(
+        st.booleans(), st.none(), st.text(max_size=4),
+        st.sampled_from(["mog", "libsvm", ".", "a\0b", "\ud800"]),
+        st.integers(0, min(top, 8)), st.floats(0, min(top, 2)),
+        st.integers(-2 ** 70, top), st.floats(-1e300, top),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.lists(st.integers(-2, 3), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(-2, 3),
+                        max_size=2))
+
+
+@st.composite
+def fuzzed_config(draw):
+    doc = copy.deepcopy(FUZZ_BASE)
+    paths = draw(st.lists(st.sampled_from(FUZZ_PATHS), min_size=1,
+                          max_size=2, unique=True))
+    for path in paths:
+        value = draw(st.one_of(st.just(_DELETE),
+                               fuzz_values(FUZZ_BOUNDS.get(path))))
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            if value is _DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced the parent
+    return doc
+
+
+@given(doc=fuzzed_config())
+@settings(max_examples=1200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_train_fuzzed_config_exits_with_documented_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["train", "--config", str(cfg)])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 5)

@@ -72,11 +72,6 @@ class TestSchedule:
         text = "\n".join(f"{i % 2} 1:{i}" for i in range(n))
         return parse_libsvm(text)
 
-    def test_no_shuffle_keeps_order(self):
-        ds = self._ds()
-        out = stream_schedule(ds, 1, None, shuffle=False)
-        assert out == ds.points
-
     def test_two_passes_multiset(self):
         ds = self._ds()
         out = stream_schedule(ds, 2, RngStream(3))
@@ -105,6 +100,28 @@ def two_component_line():
 
 
 class TestMixture:
+    @pytest.mark.parametrize("path, value, fragment", [
+        ("weight", "0.5", "finite numbers"),
+        ("weight", True, "finite numbers"),
+        ("mean", "ab", "finite numbers"),
+        ("mean", [0.0, None], "finite numbers"),
+        ("var", [1.0, math.inf], "finite numbers"),
+        ("label", 1.0, "label must be an integer"),
+        ("label", False, "label must be an integer"),
+        ("n_classes", "2", "n_classes must be an integer"),
+    ])
+    def test_from_json_rejects_mistyped_entries(self, path, value,
+                                                fragment):
+        doc = {"n_classes": 2, "components": [
+            {"weight": 1.0, "mean": [0.0, 0.0], "var": [1.0, 1.0],
+             "label": 0}]}
+        if path == "n_classes":
+            doc[path] = value
+        else:
+            doc["components"][0][path] = value
+        with pytest.raises(ValueError, match=fragment):
+            MixtureOfGaussians.from_json(doc)
+
     def test_weights_normalized_and_validated(self):
         gen = MixtureOfGaussians(
             [MogComponent(2.0, (0.0,), (1.0,), 0),

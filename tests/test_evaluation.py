@@ -16,7 +16,7 @@ from orf.evaluation import (clip_box_from_points, consistency_report,
                             cell_diameter, evaluate, load_run_artifacts,
                             probe_stats, shrink_factor_check)
 from orf.forest import OnlineForest
-from orf.tree import ClassHistogram, InternalNode, Leaf, OnlineTree
+from orf.tree import InternalNode, Leaf, OnlineTree
 
 
 def constant_forest(label, num_trees=3, C=2):
@@ -24,7 +24,7 @@ def constant_forest(label, num_trees=3, C=2):
     for tree in forest.trees:
         counts = [0] * C
         counts[label] = 1
-        tree.nodes[0].est_hist = ClassHistogram(counts=counts)
+        tree.nodes[0].est, tree.nodes[0].n_est = counts, 1
     return forest
 
 
@@ -70,9 +70,9 @@ class TestLeafDiameter:
             pytest.approx(math.sqrt(1.25))
         # a cell that only one split has cut
         tree = self._tree()
-        tree.nodes[0] = InternalNode(0, 0, 0.5, 1, 2)
-        tree.nodes += [Leaf(1, 1, ClassHistogram(2), [0], 0),
-                       Leaf(2, 1, ClassHistogram(2), [0], 0)]
+        tree.nodes[0] = InternalNode(0, 0.5, 1, 2)
+        tree.nodes += [Leaf(1, 1, [0, 0], 0, [0], 0),
+                       Leaf(2, 1, [0, 0], 0, [0], 0)]
         _, cell = tree.cell((0.2, 0.2))
         assert cell_diameter(cell, box) == pytest.approx(math.sqrt(130.25))
 

@@ -6,7 +6,6 @@ import pytest
 from conftest import make_params, synthetic_stream
 from orf.core import LabeledPoint, RngStream
 from orf.forest import OnlineForest
-from orf.tree import ClassHistogram
 
 
 def points_from_stream(stream):
@@ -79,7 +78,7 @@ class TestPredict:
         for tree, v in zip(forest.trees, votes):
             counts = [0] * forest.n_classes
             counts[v] = 1
-            tree.nodes[0].est_hist = ClassHistogram(counts=counts)
+            tree.nodes[0].est, tree.nodes[0].n_est = counts, 1
 
     def test_majority(self):
         forest = OnlineForest(make_params(num_trees=5, master_seed=1), 2, 3)
@@ -126,14 +125,23 @@ class TestDeterminism:
 
 class TestSerialization:
     def test_bytes_round_trip_and_resume(self):
-        forest = grown_forest(num_trees=3)
-        blob = forest.to_bytes()
-        clone = OnlineForest.from_bytes(blob)
-        assert clone.to_bytes() == blob
-        more = points_from_stream(synthetic_stream(8, 200))
-        forest.update_stream(more)
-        clone.update_stream(more)
-        assert clone.to_bytes() == forest.to_bytes()
+        # capacity 3 leaves most leaves inactive at the reload, so their
+        # counters are restored and activations happen after it
+        for capacity in (None, 3):
+            forest = grown_forest(num_trees=3, n=600, fringe_capacity=capacity)
+            for tree in forest.trees:
+                tree.drain_events()
+            blob = forest.to_bytes()
+            clone = OnlineForest.from_bytes(blob)
+            assert clone.to_bytes() == blob
+            more = points_from_stream(synthetic_stream(8, 900))
+            forest.update_stream(more)
+            clone.update_stream(more)
+            assert clone.to_bytes() == forest.to_bytes()
+            events = [tree.drain_events() for tree in forest.trees]
+            assert [tree.drain_events() for tree in clone.trees] == events
+            activations = [a for _, acts in events for a in acts]
+            assert bool(activations) == (capacity is not None)
 
     def test_save_load(self, tmp_path):
         forest = grown_forest(num_trees=2)
@@ -144,3 +152,10 @@ class TestSerialization:
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             OnlineForest.from_doc({"format": "other"})
+
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_rejects_other_versions(self, version):
+        doc = grown_forest(num_trees=1).to_doc()
+        doc["version"] = version
+        with pytest.raises(ValueError, match="version"):
+            OnlineForest.from_doc(doc)

@@ -5,7 +5,7 @@ import pytest
 from conftest import drive, make_params, synthetic_stream
 from orf.core import RngStream, StreamAssignment
 from orf.fringe import InactiveLeafStats, score
-from orf.tree import ClassHistogram, Leaf, OnlineTree
+from orf.tree import InternalNode, Leaf, OnlineTree
 
 E, S = StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE
 
@@ -40,7 +40,7 @@ def test_s_hat_factors():
 
 class TestRecordArrival:
     def _leaf(self, counts):
-        leaf = Leaf(0, 1, ClassHistogram(counts=counts), [0], 0)
+        leaf = Leaf(0, 1, list(counts), sum(counts), [0], 0)
         leaf.stats = InactiveLeafStats()
         return leaf
 
@@ -78,8 +78,9 @@ class TestActivationPolicy:
         assert len(active) <= 3
         assert {l.node_id for l in active} == tree.fringe.active_ids
         assert {l.node_id for l in inactive} == tree.fringe.inactive_ids
-        assert (len(active) + len(inactive) + tree.fringe.retired_count
-                == len(tree.nodes))
+        n_split = sum(type(n) is InternalNode for n in tree.nodes)
+        assert tree.split_count == n_split
+        assert len(active) + len(inactive) + n_split == len(tree.nodes)
         assert all(l.stats is not None for l in inactive)
         assert all(l.stats is None for l in active)
         for l in inactive:
@@ -139,14 +140,12 @@ class TestActivationPolicy:
 
     def test_score_tie_breaks_to_older_leaf(self):
         from orf.fringe import InactiveLeafStats
-        from orf.tree import ClassHistogram, Leaf
         params = make_params(fringe_capacity=2)
         tree = OnlineTree(params, 1, 2, RngStream(3))
         tree.total_est_seen = 100
         leaves = []
         for created_at in (7, 3):  # insertion order is not creation order
-            leaf = Leaf(len(tree.nodes), 1, ClassHistogram(2), [0],
-                        created_at)
+            leaf = Leaf(len(tree.nodes), 1, [0, 0], 0, [0], created_at)
             # identical scores: p-hat = 10/100, e-hat = 5/10
             leaf.stats = InactiveLeafStats(n_est_in_leaf=10, n_errors=5,
                                            est_tree_at_creation=0)

@@ -9,20 +9,20 @@ from conftest import (drive, leaf_cells, leaf_cells_in_order,
                       load_tiny_fixture, make_params, synthetic_stream,
                       tree_skeleton)
 from orf.core import InvariantViolation, RngStream, StreamAssignment
-from orf.tree import (_TABLE_SIZE, CandidateSplit, ClassHistogram, Leaf,
+from orf.tree import (_TABLE_SIZE, CandidateSplit, InternalNode, Leaf,
                       OnlineTree, _best_valid, create_candidate_splits,
-                      entropy, information_gain, must_split)
+                      information_gain, must_split)
 
 E, S, SKIP = (StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE,
               StreamAssignment.SKIP)
 
 
-def hist(counts):
-    return ClassHistogram(counts=counts)
+def set_est(leaf, counts):
+    leaf.est, leaf.n_est = list(counts), sum(counts)
 
 
-def cand(dim=0, thr=0.5, order=0, ls=None, rs=None, le=None, re=None, C=2):
-    s = CandidateSplit(dim, thr, order, C)
+def cand(dim=0, thr=0.5, ls=None, rs=None, le=None, re=None, C=2):
+    s = CandidateSplit(dim, thr, C)
     for name, val in (("ls", ls), ("rs", rs), ("le", le), ("re", re)):
         if val is not None:
             setattr(s, name, list(val))
@@ -31,8 +31,9 @@ def cand(dim=0, thr=0.5, order=0, ls=None, rs=None, le=None, re=None, C=2):
 
 
 def bare_leaf(depth=0, C=2, dims=(0,), est=None):
-    leaf = Leaf(0, depth, hist(est) if est else ClassHistogram(C),
-                list(dims), 0)
+    leaf = Leaf(0, depth, [0] * C, 0, list(dims), 0)
+    if est:
+        set_est(leaf, est)
     leaf.active = True
     return leaf
 
@@ -43,25 +44,16 @@ def new_tree(params=None, D=2, C=2, seed=7):
 
 
 def gate_tree(cands, est=None, **over):
-    """Tree whose root holds exactly `cands` and takes no new candidates."""
+    """Tree whose root holds exactly `cands` and takes no new candidates:
+    with m = 1 and one candidate dimension per candidate, the root has
+    projected its one structure point."""
     tree = new_tree(make_params(m=1, **over))
     root = tree.nodes[0]
     root.candidate_splits = cands
-    root.n_split_points_seen = 1
+    root.candidate_dims = [s.dim for s in cands]
     if est:
-        root.est_hist = hist(est)
+        set_est(root, est)
     return tree
-
-
-@pytest.mark.parametrize("counts, expect", [
-    ([4, 4], 1.0),
-    ([7, 0, 0], 0.0),
-    ([5, 3], 0.954434),
-    ([], 0.0),
-    ([0, 0], 0.0),
-])
-def test_entropy(counts, expect):
-    assert entropy(hist(counts)) == pytest.approx(expect, abs=1e-6)
 
 
 @pytest.mark.parametrize("ls, rs, expect", [
@@ -84,24 +76,14 @@ def test_information_gain_bounds_random():
         assert 0.0 <= g <= math.log2(C) + 1e-9
 
 
-@given(counts=st.lists(st.integers(0, 1000), min_size=1, max_size=8))
-@settings(max_examples=200)
-def test_entropy_properties(counts):
-    h = entropy(hist(counts))
-    assert 0.0 <= h <= math.log2(len(counts)) + 1e-12
-    assert entropy(hist(list(reversed(counts)))) == pytest.approx(h)
-    doubled = entropy(hist([2 * c for c in counts]))
-    assert doubled == pytest.approx(h, abs=1e-9)
-
-
 @given(ls=st.lists(st.integers(0, 50), min_size=2, max_size=5),
        rs=st.lists(st.integers(0, 50), min_size=2, max_size=5))
 @settings(max_examples=200)
 def test_gain_never_exceeds_parent_entropy(ls, rs):
     n = min(len(ls), len(rs))
     s = cand(ls=ls[:n], rs=rs[:n], C=n)
-    parent = hist([a + b for a, b in zip(ls[:n], rs[:n])])
-    assert information_gain(s) <= entropy(parent) + 1e-9
+    parent = [a + b for a, b in zip(ls[:n], rs[:n])]
+    assert information_gain(s) <= reference_entropy(parent) + 1e-9
 
 
 # The entropy and gain loops as they stood before the table-driven kernel:
@@ -164,8 +146,6 @@ def test_gain_kernel_bit_identical_to_reference(sides):
     ls, rs = sides
     assert information_gain(cand(ls=ls, rs=rs, C=len(ls))) == \
         reference_gain(ls, rs)
-    for counts in (ls, rs, [a + b for a, b in zip(ls, rs)]):
-        assert entropy(hist(counts)) == reference_entropy(counts)
 
 
 class TestGates:
@@ -198,7 +178,7 @@ class TestGates:
         p = make_params(alpha_base=1.0, beta_multiplier=10.0)  # beta(0)=10
         leaf = bare_leaf(est=[6, 3])
         assert not must_split(leaf, p)
-        leaf.est_hist.add(0)
+        set_est(leaf, [7, 3])
         assert must_split(leaf, p)
 
     def test_can_split_needs_candidates(self):
@@ -215,13 +195,12 @@ class TestBestSplit:
     def test_argmax_and_tie_and_validity(self):
         p = make_params(alpha_base=1.0)
         leaf = bare_leaf()
-        weak = cand(order=0, ls=[3, 1], rs=[1, 3], le=[1, 1], re=[1, 1])
-        strong = cand(order=1, ls=[4, 0], rs=[0, 4], le=[1, 1], re=[1, 1])
-        invalid = cand(order=2, ls=[9, 0], rs=[0, 9], le=[0, 0], re=[9, 9])
+        weak = cand(ls=[3, 1], rs=[1, 3], le=[1, 1], re=[1, 1])
+        strong = cand(ls=[4, 0], rs=[0, 4], le=[1, 1], re=[1, 1])
+        invalid = cand(ls=[9, 0], rs=[0, 9], le=[0, 0], re=[9, 9])
         leaf.candidate_splits = [weak, strong, invalid]
         assert _best_valid(leaf, p) == (strong, 1.0)
-        twin = cand(dim=1, order=3, ls=[4, 0], rs=[0, 4], le=[1, 1],
-                    re=[1, 1])
+        twin = cand(dim=1, ls=[4, 0], rs=[0, 4], le=[1, 1], re=[1, 1])
         leaf.candidate_splits = [invalid, twin, strong]
         # twin and strong tie at gain 1.0; twin comes first in the list
         assert _best_valid(leaf, p)[0] is twin
@@ -254,14 +233,17 @@ class TestCandidateCreation:
         create_candidate_splits(leaf, (1.0, 2.0), 2)
         assert [(s.dim, s.threshold) for s in leaf.candidate_splits] == \
             [(0, 1.0), (1, 2.0)]
-        assert [s.creation_order for s in leaf.candidate_splits] == [0, 1]
+        # creation order is list order: a later point's candidates follow
+        create_candidate_splits(leaf, (3.0, 4.0), 2)
+        assert [(s.dim, s.threshold) for s in leaf.candidate_splits] == \
+            [(0, 1.0), (1, 2.0), (0, 3.0), (1, 4.0)]
 
     def test_m_limits_split_points(self):
         tree = new_tree(make_params(m=1, lam=0.0), D=1)
         tree.update((0.5,), 0, S, 1)
         tree.update((0.8,), 1, S, 2)
         (leaf,) = tree.leaves()
-        assert leaf.n_split_points_seen == 1
+        assert leaf.candidate_dims == [0]
         assert [s.threshold for s in leaf.candidate_splits] == [0.5]
 
 
@@ -312,7 +294,7 @@ class TestUpdate:
     def test_estimation_into_fresh_root(self):
         tree = new_tree()
         assert tree.update((0.3, 0.3), 1, E, 1) is None
-        assert tree.nodes[0].est_hist.counts == [0, 1]
+        assert (tree.nodes[0].est, tree.nodes[0].n_est) == ([0, 1], 1)
 
     def test_skip_is_noop(self):
         tree = new_tree()
@@ -334,7 +316,6 @@ class TestUpdate:
              else (lo + 1 if math.isfinite(lo) else hi - 1))
         tree.update((x,), 0, S, 100)
         assert inactive[0].candidate_splits == []
-        assert inactive[0].n_split_points_seen == 0
 
 
 class TestSplit:
@@ -348,15 +329,14 @@ class TestSplit:
         tree = self._split_tree()
         assert tree.split_count == 1
         (left, _), (right, _) = leaf_cells_in_order(tree)
-        assert left.est_hist.counts == [1, 0]
-        assert right.est_hist.counts == [0, 1]
+        assert (left.est, left.n_est) == ([1, 0], 1)
+        assert (right.est, right.n_est) == ([0, 1], 1)
         assert left.depth == right.depth == 1
 
     def test_parent_candidates_discarded_and_children_fresh(self):
         tree = self._split_tree()
         for leaf in tree.leaves():
             assert leaf.candidate_splits == []
-            assert leaf.n_split_points_seen == 0
 
     def test_routing_after_split(self):
         tree = self._split_tree()
@@ -367,7 +347,7 @@ class TestSplit:
 class TestPrediction:
     def test_posterior_normalization(self):
         tree = new_tree(D=2, C=3)
-        tree.nodes[0].est_hist = hist([3, 5, 2])
+        set_est(tree.nodes[0], [3, 5, 2])
         assert tree.predict_posterior((0.0, 0.0)) == [0.3, 0.5, 0.2]
         assert tree.predict_class((0.0, 0.0)) == 1
 
@@ -378,9 +358,9 @@ class TestPrediction:
 
     def test_tie_breaks_to_smaller_index(self):
         tree = new_tree(D=2, C=2)
-        tree.nodes[0].est_hist = hist([4, 4])
+        set_est(tree.nodes[0], [4, 4])
         assert tree.predict_class((0.0, 0.0)) == 0
-        tree.nodes[0].est_hist = hist([0, 4])
+        set_est(tree.nodes[0], [0, 4])
         assert tree.predict_posterior((0.0, 0.0)) == [0.0, 1.0]
 
 
@@ -417,7 +397,7 @@ class TestTinyTrace:
             got.append({"depth": leaf.depth,
                         "lo": None if math.isinf(lo) else lo,
                         "hi": None if math.isinf(hi) else hi,
-                        "est": leaf.est_hist.counts})
+                        "est": leaf.est})
         assert got == doc["expected"]["leaves"]
 
 
@@ -425,7 +405,8 @@ class TestStreamIsolation:
     def _sums(self, tree):
         est = struct = 0
         for leaf in tree.leaves():
-            est += leaf.est_hist.total
+            assert leaf.n_est == sum(leaf.est)
+            est += leaf.n_est
             for s in leaf.candidate_splits:
                 assert (s.nle, s.nre) == (sum(s.le), sum(s.re))
                 est += s.nle + s.nre
@@ -469,9 +450,9 @@ class TestCandidateBudget:
             assert 1 <= len(dims) <= 3
             assert len(set(dims)) == len(dims)
             assert all(0 <= d < 3 for d in dims)
-            assert leaf.n_split_points_seen <= params.m
-            assert len(leaf.candidate_splits) == \
-                leaf.n_split_points_seen * len(dims)
+            # one candidate per dimension for each projected point, and at
+            # most m points projected
+            assert len(leaf.candidate_splits) % len(dims) == 0
             assert len(leaf.candidate_splits) <= params.m * len(dims)
 
 
@@ -510,15 +491,26 @@ class TestLabelPermutationInvariance:
 
 class TestSerialization:
     def test_round_trip_and_exact_resume(self):
-        params = make_params(m=3, lam=1.0, beta_multiplier=20.0)
-        stream = synthetic_stream(31, 500)
-        tree = new_tree(params, seed=77)
-        drive(tree, stream[:300])
-        doc = json.loads(json.dumps(tree.to_doc(), allow_nan=False))
-        clone = OnlineTree.from_doc(doc, params)
-        assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
-        drive(tree, stream[300:], t0=300)
-        drive(clone, stream[300:], t0=300)
-        assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
-        # cells are derived from the restored split nodes
-        assert leaf_cells(clone) == leaf_cells(tree)
+        # capacity 3 leaves most leaves inactive at the reload, so their
+        # counters are restored and activations happen after it
+        for capacity in (None, 3):
+            params = make_params(m=3, lam=1.0, beta_multiplier=20.0,
+                                 fringe_capacity=capacity)
+            stream = synthetic_stream(31, 1500)
+            tree = new_tree(params, seed=77)
+            drive(tree, stream[:500])
+            tree.drain_events()
+            doc = json.loads(json.dumps(tree.to_doc(), allow_nan=False))
+            clone = OnlineTree.from_doc(doc, params)
+            assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
+            assert clone.split_count == tree.split_count == sum(
+                type(n) is InternalNode for n in tree.nodes)
+            drive(tree, stream[500:], t0=500)
+            drive(clone, stream[500:], t0=500)
+            assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
+            splits, activations = tree.drain_events()
+            assert clone.drain_events() == (splits, activations)
+            assert splits
+            assert bool(activations) == (capacity is not None)
+            # cells are derived from the restored split nodes
+            assert leaf_cells(clone) == leaf_cells(tree)
