@@ -171,6 +171,13 @@ def alpha(params: HyperParams, d: int) -> int:
     return math.ceil(v)
 
 
+def split_budget(params: HyperParams, est_seen: int) -> float:
+    """Most splits a tree may hold after `est_seen` estimation points:
+    K <= N_e/(2*alpha(1)) + 1, since every split below the root gives both
+    children at least alpha(1) of them."""
+    return est_seen / (2 * alpha(params, 1)) + 1
+
+
 def beta(params: HyperParams, d: int) -> int:
     """Leaf estimation count past which a valid split is forced."""
     v = params.beta_multiplier * alpha(params, d)
@@ -221,14 +228,19 @@ class RngStream:
         """Uniform integer in [lo, hi)."""
         return int(self._gen.integers(lo, hi))
 
-    def poisson(self, lam: float) -> int:
+    def poisson(self, lam: float, cap: int) -> int:
+        """min(Poisson(lam), cap). Once the rate-30 blocks reach `cap` the
+        rest of the rate cannot change the result and is not drawn, so a
+        huge rate costs no more than cap/30 blocks."""
         if lam < 0:
             raise ValueError("rate must be >= 0")
         total = 0
         while lam > 30.0:
+            if total >= cap:
+                return cap
             total += self._poisson_small(30.0)
             lam -= 30.0
-        return total + self._poisson_small(lam)
+        return min(total + self._poisson_small(lam), cap)
 
     def _poisson_small(self, lam: float) -> int:
         u = self.uniform()
@@ -270,11 +282,6 @@ class RngStream:
 
     def permutation(self, n: int) -> list[int]:
         return [int(i) for i in self._gen.permutation(n)]
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """Direct access for bulk vectorized draws (Monte-Carlo helpers)."""
-        return self._gen
 
     def get_state(self) -> dict:
         return {"entropy": self._entropy,

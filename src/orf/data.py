@@ -99,17 +99,6 @@ def parse_libsvm(text: str, n_features: int | None = None) -> Dataset:
     return Dataset(points, dim, len(labels), labels)
 
 
-def dump_libsvm(ds: Dataset) -> str:
-    """Dense emission; parsing it back reproduces the Dataset exactly."""
-    lines = []
-    for p in ds.points:
-        label = ds.labels[p.y]
-        parts = [repr(label) if not isinstance(label, int) else str(label)]
-        parts += [f"{i + 1}:{v!r}" for i, v in enumerate(p.x)]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 def align_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Re-embed two datasets into a common feature count and label set."""
     dim = max(train.n_features, test.n_features)
@@ -200,12 +189,6 @@ class MixtureOfGaussians:
                              f"{doc['n_classes']!r}")
         return cls(comps, doc["n_classes"])
 
-    def to_json(self) -> dict:
-        return {"n_classes": self.n_classes,
-                "components": [{"weight": c.weight, "mean": list(c.mean),
-                                "var": list(c.var), "label": c.label}
-                               for c in self.components]}
-
     @classmethod
     def load(cls, path) -> "MixtureOfGaussians":
         with open(path) as fh:
@@ -241,6 +224,3 @@ class MixtureOfGaussians:
 
     def bayes_predict_batch(self, X) -> np.ndarray:
         return np.argmax(self.class_log_scores(np.atleast_2d(X)), axis=1)
-
-    def bayes_predict(self, x) -> int:
-        return int(self.bayes_predict_batch(np.asarray(x)[None, :])[0])

@@ -15,35 +15,8 @@ import pathlib
 import statistics
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from orf.core import HyperParams, RngStream, alpha, majority
+from orf.core import HyperParams, alpha, majority, split_budget
 from orf.forest import OnlineForest
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    t: int
-    forest_accuracy: float
-    mean_tree_accuracy: float
-    std_tree_accuracy: float
-    bayes_accuracy: float | None
-    split_count: int
-    active_leaves: int
-    inactive_leaves: int
-    median_diameter: float
-    min_est_count: int
-    median_est_count: float
-
-
-CURVES_COLUMNS = ["t", "forest_accuracy", "mean_tree_accuracy",
-                  "std_tree_accuracy", "bayes_accuracy", "split_count",
-                  "active_leaves", "inactive_leaves", "median_diameter",
-                  "min_est_count", "median_est_count"]
-SPLITS_COLUMNS = ["t", "tree", "depth", "dim", "threshold", "gain",
-                  "left_est", "right_est"]
-ACTIVATIONS_COLUMNS = ["t", "tree", "leaf", "s_hat", "p_hat", "e_hat",
-                       "best_other_s_hat", "best_other_created_at"]
 
 
 def evaluate(forest: OnlineForest, test_points):
@@ -108,20 +81,6 @@ def probe_stats(forest, probes, clip_box):
             est_counts.append(leaf.n_est)
     return (statistics.median(diams), min(est_counts),
             statistics.median(est_counts))
-
-
-def shrink_factor_check(m: int, trials: int, rng: RngStream):
-    """Monte-Carlo estimate of E[max(max U_i, 1 - min U_i)] over m uniforms.
-
-    Returns (mean, standard error); the exact value is (2m+1)/(2m+2).
-    """
-    if m < 1 or trials < 1:
-        raise ValueError("m and trials must be >= 1")
-    u = rng.generator.random((trials, m))
-    vstar = np.maximum(u.max(axis=1), 1.0 - u.min(axis=1))
-    mean = float(vstar.mean())
-    stderr = float(vstar.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr
 
 
 # -- offline audit of a finished run ------------------------------------------
@@ -191,10 +150,9 @@ def consistency_report(artifacts: dict) -> RunAudit:
                 f"validity gate: split at t={row['t']} tree={row['tree']} "
                 f"depth={d} has child estimation counts ({le}, {re}) < {a}")
 
-    a1 = alpha(params, 1)
     for cp in run["checkpoints"]:
         for i, tr in enumerate(cp["per_tree"]):
-            bound = tr["est_seen"] / (2 * a1) + 1
+            bound = split_budget(params, tr["est_seen"])
             if tr["splits"] > bound:
                 audit.hard_failures.append(
                     f"split budget: tree {i} at t={cp['t']} has "

@@ -14,17 +14,17 @@ import math
 import os
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from orf.core import (RESERVED_CHILD_INDICES, HyperParams,
-                      InvariantViolation, RngStream, alpha, sum_in_order,
-                      write_atomic)
+                      InvariantViolation, RngStream, split_budget,
+                      sum_in_order, write_atomic)
 from orf.data import (Dataset, MixtureOfGaussians, ParseError, align_pair,
                       parse_libsvm, stream_schedule)
-from orf.evaluation import (ACTIVATIONS_COLUMNS, CURVES_COLUMNS,
-                            SPLITS_COLUMNS, Checkpoint, clip_box_from_points,
-                            evaluate, probe_stats)
+from orf.evaluation import clip_box_from_points, evaluate, probe_stats
 from orf.forest import OnlineForest
+from orf.fringe import ActivationRecord
+from orf.tree import SplitRecord
 
 
 class ConfigError(ValueError):
@@ -98,18 +98,15 @@ class ExperimentConfig:
         if self.clip_margin < 0:
             raise ConfigError("clip_margin must be >= 0")
 
-    _KEYS = {"hyperparams", "data", "checkpoints", "runs", "out_dir",
-             "passes", "probe_points", "clip_sample", "clip_margin"}
-
     @classmethod
     def from_json(cls, doc: dict, base_dir=".") -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - cls._KEYS
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"hyperparams", "data", "checkpoints", "runs",
-                   "out_dir"} - set(doc)
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING} - set(doc)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         base = pathlib.Path(base_dir)
@@ -149,14 +146,9 @@ class ExperimentConfig:
         else:
             raise ConfigError("data.kind must be 'mog' or 'libsvm'")
         try:
-            return cls(hyperparams=params, data=source,
-                       checkpoints=tuple(doc["checkpoints"]),
-                       runs=doc["runs"],
-                       out_dir=resolve("out_dir", doc["out_dir"]),
-                       passes=doc.get("passes", 1),
-                       probe_points=doc.get("probe_points", 256),
-                       clip_sample=doc.get("clip_sample", 1000),
-                       clip_margin=doc.get("clip_margin", 0.1))
+            return cls(**{**doc, "hyperparams": params, "data": source,
+                          "checkpoints": tuple(doc["checkpoints"]),
+                          "out_dir": resolve("out_dir", doc["out_dir"])})
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -169,6 +161,8 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") \
                 from None
@@ -197,6 +191,9 @@ def load_data(config: ExperimentConfig) -> DataContext:
         except (ValueError, KeyError, TypeError) as exc:
             # a decoding error or an entry of the wrong kind or shape
             raise DataError(f"bad mixture spec {src.spec}: {exc}") from None
+        except RecursionError:
+            raise DataError(f"bad mixture spec {src.spec}: JSON nested too "
+                            f"deeply") from None
         return DataContext(gen.n_features, gen.n_classes, mog=gen)
     try:
         train = parse_libsvm(pathlib.Path(src.train).read_text())
@@ -212,13 +209,34 @@ def load_data(config: ExperimentConfig) -> DataContext:
                        train=train, test=test)
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    t: int
+    forest_accuracy: float
+    mean_tree_accuracy: float
+    std_tree_accuracy: float
+    bayes_accuracy: float | None
+    split_count: int
+    active_leaves: int
+    inactive_leaves: int
+    median_diameter: float
+    min_est_count: int
+    median_est_count: float
+
+
+# Each CSV's columns are its record's fields; splits and activations put
+# the tree index after t.
+CURVES_COLUMNS = [f.name for f in fields(Checkpoint)]
+SPLITS_COLUMNS = ["t", "tree"] + [f.name for f in fields(SplitRecord)][1:]
+ACTIVATIONS_COLUMNS = ["t", "tree"] + [
+    f.name for f in fields(ActivationRecord)][1:]
+
+
 @dataclass
 class RunResult:
     run_dir: pathlib.Path
-    seed: int
     checkpoints: list[Checkpoint]
     bayes_accuracy: float | None
-    final_tree_accuracies: list[float]
 
 
 def _fmt(v) -> str:
@@ -227,6 +245,11 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _event_rows(records, tree: int, columns) -> list[tuple]:
+    return [(r.t, tree) + tuple(getattr(r, c) for c in columns[2:])
+            for r in records]
 
 
 def _write_csv(path, columns, rows):
@@ -285,29 +308,19 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
         per_tree = []
         for i, tree in enumerate(forest.trees):
             splits, acts = tree.drain_events()
-            split_rows.extend(
-                (r.t, i, r.depth, r.dim, r.threshold, r.gain, r.left_est,
-                 r.right_est) for r in splits)
-            act_rows.extend(
-                (r.t, i, r.leaf_id, r.s_hat, r.p_hat, r.e_hat,
-                 r.best_other_s_hat, r.best_other_created_at) for r in acts)
-            n_active = len(tree.fringe.active_ids)
-            n_inactive = len(tree.fringe.inactive_ids)
+            split_rows += _event_rows(splits, i, SPLITS_COLUMNS)
+            act_rows += _event_rows(acts, i, ACTIVATIONS_COLUMNS)
             per_tree.append({"splits": tree.split_count,
                              "est_seen": tree.total_est_seen,
-                             "active": n_active, "inactive": n_inactive})
-            budget = tree.total_est_seen / (2 * alpha(params, 1)) + 1
+                             "active": len(tree.fringe.active_ids),
+                             "inactive": len(tree.fringe.inactive_ids)})
+            # the fringe checks its capacity itself, after every refill
+            budget = split_budget(params, tree.total_est_seen)
             if tree.split_count > budget:
                 raise InvariantViolation(
                     f"split budget: tree {i} at t={cp} has "
                     f"{tree.split_count} splits > {budget:.2f}")
-            if params.fringe_capacity is not None \
-                    and n_active > params.fringe_capacity:
-                raise InvariantViolation(
-                    f"fringe capacity: tree {i} at t={cp} has {n_active} "
-                    f"active leaves > {params.fringe_capacity}")
         forest_acc, tree_accs = evaluate(forest, test_points)
-        last_tree_accs = tree_accs
         mean_acc = sum_in_order(tree_accs) / len(tree_accs)
         std_acc = (sum_in_order((a - mean_acc) ** 2 for a in tree_accs)
                    / len(tree_accs)) ** 0.5
@@ -346,9 +359,8 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
     }
     write_atomic(run_dir / "run.json",
                  (json.dumps(run_doc, indent=1) + "\n").encode())
-    return RunResult(run_dir=run_dir, seed=seed, checkpoints=cp_records,
-                     bayes_accuracy=bayes_accuracy,
-                     final_tree_accuracies=last_tree_accs)
+    return RunResult(run_dir=run_dir, checkpoints=cp_records,
+                     bayes_accuracy=bayes_accuracy)
 
 
 def run_all(config: ExperimentConfig) -> list[RunResult]:

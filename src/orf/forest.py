@@ -48,7 +48,11 @@ class OnlineForest:
         """Feed a batch tree by tree; equals calling `update` per point.
 
         Every point is validated before any tree moves, so a bad batch
-        leaves the forest as it was.
+        leaves the forest as it was. A tree update that raises part-way
+        (an invariant violation, say) propagates with `t` unchanged, but
+        the trees before it have taken the whole batch and that tree part
+        of it: the trees then disagree on `t`, and the forest must be
+        discarded.
         """
         for p in points:
             p.validate(self.n_features, self.n_classes)

@@ -1,7 +1,8 @@
 """Bounded-memory leaf management.
 
 Leaves are either active (collecting candidate-split statistics) or
-inactive (carrying only arrival/error counters). When an active leaf
+inactive (carrying only arrival/error counters in `leaf.stats`): a leaf is
+active exactly when its `stats` is None. When an active leaf
 splits it frees a slot and the inactive leaf with the largest
 s-hat = p-hat * e-hat estimate takes its place; while the tree is smaller
 than the capacity the freed slots let every new leaf activate immediately,
@@ -30,7 +31,7 @@ class InactiveLeafStats:
 @dataclass(frozen=True)
 class ActivationRecord:
     t: int
-    leaf_id: int
+    leaf: int
     s_hat: float
     p_hat: float
     e_hat: float
@@ -65,14 +66,6 @@ class FringeState:
         # activation choice
         self.activation_hook = None
 
-    @property
-    def bounded(self) -> bool:
-        return self.capacity is not None
-
-    def register_root(self, root) -> None:
-        root.active = True
-        self.active_ids.add(root.node_id)
-
     def record_estimation_arrival(self, leaf, y: int) -> None:
         """Update an inactive leaf's counters for one arriving point.
 
@@ -91,10 +84,8 @@ class FringeState:
         at steady state exactly one leaf does.
         """
         self.active_ids.discard(parent.node_id)
-        if not self.bounded:
-            for child in (left, right):
-                child.active = True
-                self.active_ids.add(child.node_id)
+        if self.capacity is None:
+            self.active_ids.update((left.node_id, right.node_id))
             return
         for child in (left, right):
             child.stats = InactiveLeafStats(
@@ -120,12 +111,11 @@ class FringeState:
         neg_s, _, chosen_id, p, e = scored[0]
         leaf = tree.nodes[chosen_id]
         record = ActivationRecord(
-            t=t, leaf_id=chosen_id, s_hat=-neg_s, p_hat=p, e_hat=e,
+            t=t, leaf=chosen_id, s_hat=-neg_s, p_hat=p, e_hat=e,
             best_other_s_hat=-scored[1][0] if len(scored) > 1 else None,
             best_other_created_at=scored[1][1] if len(scored) > 1 else None)
         self.inactive_ids.discard(chosen_id)
         self.active_ids.add(chosen_id)
-        leaf.active = True
         leaf.stats = None
         tree.pending_activations.append(record)
         return chosen_id

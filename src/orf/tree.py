@@ -52,10 +52,12 @@ class Leaf:
 
     Every structure point it has projected added one candidate per
     candidate dimension, so that count is derived from the two lists.
+    A leaf is active (it takes structure points) exactly when `stats`,
+    the bounded fringe's counters for an inactive leaf, is None.
     """
 
     __slots__ = ("node_id", "depth", "est", "n_est", "candidate_dims",
-                 "candidate_splits", "active", "created_at", "stats")
+                 "candidate_splits", "created_at", "stats")
 
     def __init__(self, node_id: int, depth: int, est: list[int], n_est: int,
                  candidate_dims: list[int], created_at: int):
@@ -65,7 +67,6 @@ class Leaf:
         self.n_est = n_est
         self.candidate_dims = candidate_dims
         self.candidate_splits: list[CandidateSplit] = []
-        self.active = False
         self.created_at = created_at
         self.stats: InactiveLeafStats | None = None
 
@@ -203,7 +204,7 @@ class OnlineTree:
             return
         root = self._new_leaf(depth=0, est=[0] * n_classes, n_est=0,
                               created_at=0)
-        self.fringe.register_root(root)
+        self.fringe.active_ids.add(root.node_id)
 
     @property
     def split_count(self) -> int:
@@ -213,7 +214,7 @@ class OnlineTree:
     # -- construction helpers ---------------------------------------------
 
     def _new_leaf(self, depth, est, n_est, created_at) -> Leaf:
-        k = min(1 + self.rng.poisson(self.params.lam), self.n_features)
+        k = 1 + self.rng.poisson(self.params.lam, self.n_features - 1)
         dims = self.rng.sample_distinct(self.n_features, k)
         leaf = Leaf(len(self.nodes), depth, est, n_est, dims, created_at)
         self.nodes.append(leaf)
@@ -275,7 +276,7 @@ class OnlineTree:
         leaf = self.route(x)
         if assignment is StreamAssignment.ESTIMATION:
             self.total_est_seen += 1
-            if not leaf.active:
+            if leaf.stats is not None:
                 self.fringe.record_estimation_arrival(leaf, y)
             leaf.est[y] += 1
             leaf.n_est += 1
@@ -287,8 +288,8 @@ class OnlineTree:
                     s.re[y] += 1
                     s.nre += 1
             return None
-        # structure point
-        if not leaf.active:
+        # structure point; an inactive leaf ignores it
+        if leaf.stats is not None:
             return None
         # fewer than m structure points projected so far
         if len(leaf.candidate_splits) < \
@@ -341,7 +342,7 @@ class OnlineTree:
                 doc = {"kind": "leaf", "depth": node.depth,
                        "est": node.est,
                        "dims": node.candidate_dims,
-                       "active": node.active,
+                       "active": node.stats is None,
                        "created_at": node.created_at,
                        "cands": [{"dim": s.dim, "thr": s.threshold,
                                   "ls": s.ls, "rs": s.rs,
@@ -371,24 +372,23 @@ class OnlineTree:
                 tree.nodes.append(InternalNode(nd["dim"], nd["threshold"],
                                                nd["left"], nd["right"]))
                 continue
+            active = "stats" not in nd
+            if nd["active"] is not active:
+                raise ValueError(f"node {node_id}: \"active\" is "
+                                 f"{nd['active']!r}, but a leaf is active "
+                                 f"exactly when it has no \"stats\"")
             leaf = Leaf(node_id, nd["depth"], list(nd["est"]),
                         sum(nd["est"]), list(nd["dims"]), nd["created_at"])
-            leaf.active = nd["active"]
             for cd in nd["cands"]:
                 s = CandidateSplit(cd["dim"], cd["thr"], n_classes)
                 s.ls, s.rs = list(cd["ls"]), list(cd["rs"])
                 s.le, s.re = list(cd["le"]), list(cd["re"])
                 s.nle, s.nre = sum(s.le), sum(s.re)
                 leaf.candidate_splits.append(s)
-            if "stats" in nd:
-                st = nd["stats"]
-                leaf.stats = InactiveLeafStats(
-                    n_est_in_leaf=st["n_est_in_leaf"],
-                    n_errors=st["n_errors"],
-                    est_tree_at_creation=st["est_tree_at_creation"])
-            if leaf.active:
+            if active:
                 tree.fringe.active_ids.add(node_id)
             else:
+                leaf.stats = InactiveLeafStats(**nd["stats"])
                 tree.fringe.inactive_ids.add(node_id)
             tree.nodes.append(leaf)
         return tree

@@ -2,6 +2,8 @@ import json
 import math
 import pathlib
 
+import numpy as np
+
 from orf.core import HyperParams, RngStream, StreamAssignment
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -37,6 +39,20 @@ def synthetic_stream(seed, n, n_features=2, n_classes=2, p_structure=0.5,
             tag = StreamAssignment.ESTIMATION
         out.append((x, y, tag))
     return out
+
+
+def shrink_factor_check(m: int, trials: int, seed: int):
+    """Monte-Carlo estimate of E[max(max U_i, 1 - min U_i)] over m uniforms.
+
+    Returns (mean, standard error); the exact value is (2m+1)/(2m+2).
+    """
+    if m < 1 or trials < 1:
+        raise ValueError("m and trials must be >= 1")
+    u = np.random.default_rng(seed).random((trials, m))
+    vstar = np.maximum(u.max(axis=1), 1.0 - u.min(axis=1))
+    mean = float(vstar.mean())
+    stderr = float(vstar.std(ddof=1) / math.sqrt(trials))
+    return mean, stderr
 
 
 def drive(tree, stream, t0=0):

@@ -14,13 +14,12 @@ import time
 import pytest
 
 from conftest import drive, leaf_cells_in_order, load_tiny_fixture, \
-    make_params, synthetic_stream, tree_skeleton
+    make_params, shrink_factor_check, synthetic_stream, tree_skeleton
 from orf.core import HyperParams, LabeledPoint, RngStream, StreamAssignment, alpha
-from orf.evaluation import shrink_factor_check
 from orf.experiment import (ExperimentConfig, MogSource, load_data, run_all,
                             run_experiment)
 from orf.forest import OnlineForest
-from orf.tree import CandidateSplit, OnlineTree, information_gain
+from orf.tree import CandidateSplit, Leaf, OnlineTree, information_gain
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 E, S = StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE
@@ -82,7 +81,7 @@ def test_criterion_3_shrink_factor_identity():
     t0 = time.monotonic()
     failures = []
     for m in (1, 5, 10):
-        mean, stderr = shrink_factor_check(m, 100_000, RngStream(4000 + m))
+        mean, stderr = shrink_factor_check(m, 100_000, 4000 + m)
         expected = (2 * m + 1) / (2 * m + 2)
         if abs(mean - expected) >= 3 * stderr:
             failures.append((m, mean, expected, stderr))
@@ -180,7 +179,7 @@ def test_criterion_5d_fringe_capacity_and_argmax():
     def hook(tr):
         snap = []
         for node in tr.nodes:
-            if getattr(node, "active", None) is False:
+            if type(node) is Leaf and node.stats is not None:
                 st = node.stats
                 lifetime = tr.total_est_seen - st.est_tree_at_creation
                 p = st.n_est_in_leaf / max(1, lifetime)
@@ -196,7 +195,7 @@ def test_criterion_5d_fringe_capacity_and_argmax():
     _, activations = tree.drain_events()
     assert len(activations) >= 10
     for snap, rec in zip(snapshots, activations):
-        assert rec.leaf_id == snap[0][2]
+        assert rec.leaf == snap[0][2]
     note("5d", True, f"capacity 3 never exceeded over {len(stream)} points; "
                      f"all {len(activations)} activations are argmax s-hat")
 

@@ -350,6 +350,25 @@ class TestCli:
         assert message in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("where, code", [("config", 2), ("spec", 3)])
+    def test_train_deeply_nested_json_exit_code(self, tmp_path, capsys,
+                                                where, code):
+        """JSON nested past the parser's recursion limit is a bad config
+        (exit 2) or a bad mixture spec (exit 3), not a traceback."""
+        deep = "[" * 100_000 + "]" * 100_000
+        if where == "config":
+            cfg = tmp_path / "exp.json"
+            cfg.write_text('{"runs": ' + deep + "}")
+        else:
+            (tmp_path / "deep.json").write_text(
+                '{"components": ' + deep + "}")
+            cfg = write_config(tmp_path,
+                               data={"kind": "mog", "spec": "deep.json"})
+        assert main(["train", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert len(err.splitlines()) == 1
+
 
 # A small valid config; the fuzz test below mutates its keys.
 FUZZ_BASE = {
@@ -370,7 +389,8 @@ FUZZ_BASE = {
 
 # Keys whose value scales a run's work, with the largest value drawn for
 # each, so that every example stays small; other keys draw any size.
-FUZZ_BOUNDS = {("hyperparams", "num_trees"): 3, ("hyperparams", "lambda"): 4,
+FUZZ_BOUNDS = {("hyperparams", "num_trees"): 3,
+               ("hyperparams", "lambda"): 10 ** 12,
                ("data", "test_points"): 50, ("checkpoints", 0): 300,
                ("checkpoints", 1): 300, ("runs",): 2, ("probe_points",): 16}
 

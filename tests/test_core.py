@@ -148,7 +148,7 @@ class TestRngStream:
         for _ in range(250_000):
             assert a.uniform() == b.uniform()
             assert a.randint(0, 1000) == b.randint(0, 1000)
-            assert a.poisson(3.0) == b.poisson(3.0)
+            assert a.poisson(3.0, 99) == b.poisson(3.0, 99)
             assert a.normal() == b.normal()
 
     def test_children_distinct_and_deterministic(self):
@@ -163,14 +163,36 @@ class TestRngStream:
 
     def test_poisson_zero_rate(self):
         rng = RngStream(0)
-        assert all(rng.poisson(0.0) == 0 for _ in range(100))
+        assert all(rng.poisson(0.0, 5) == 0 for _ in range(100))
 
     @pytest.mark.parametrize("lam", [0.5, 3.0, 50.0])
     def test_poisson_mean(self, lam):
         rng = RngStream(11)
         n = 20_000
-        mean = sum(rng.poisson(lam) for _ in range(n)) / n
+        mean = sum(rng.poisson(lam, 10 ** 9) for _ in range(n)) / n
         assert abs(mean - lam) < 4 * math.sqrt(lam / n)
+
+    @pytest.mark.parametrize("lam, cap", [
+        (0.5, 2), (3.0, 2), (30.0, 2),
+        (50.0, 1000),  # the blocks never reach the cap
+    ])
+    def test_poisson_cap_draws_as_uncapped(self, lam, cap):
+        def uncapped(rng, lam):
+            """The draw as made before it took a cap."""
+            total = 0
+            while lam > 30.0:
+                total += rng._poisson_small(30.0)
+                lam -= 30.0
+            return total + rng._poisson_small(lam)
+
+        a, b = RngStream(13), RngStream(13)
+        for _ in range(2000):
+            assert a.poisson(lam, cap) == min(uncapped(b, lam), cap)
+        assert a.uniform() == b.uniform()
+
+    def test_poisson_cap_ends_a_huge_rate(self):
+        rng = RngStream(1)
+        assert [rng.poisson(1e12, c) for c in (0, 1, 5)] == [0, 1, 5]
 
     def test_categorical_frequencies(self):
         rng = RngStream(2)
@@ -201,7 +223,7 @@ class TestRngStream:
 
     def test_state_round_trip_mid_sequence(self):
         rng = RngStream(77)
-        [rng.poisson(2.0) for _ in range(100)]
+        [rng.poisson(2.0, 99) for _ in range(100)]
         state = json.loads(json.dumps(rng.get_state()))
         clone = RngStream.from_state(state)
         assert [rng.uniform() for _ in range(50)] == [clone.uniform() for _ in range(50)]

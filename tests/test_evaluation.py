@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from conftest import make_params
+from conftest import make_params, shrink_factor_check
 from orf.core import LabeledPoint, RngStream
 from orf.experiment import (ExperimentConfig, MogSource, load_data,
                             run_experiment)
@@ -14,7 +14,7 @@ MOG_SPEC = str(pathlib.Path(__file__).resolve().parents[1]
                / "configs" / "mog5.json")
 from orf.evaluation import (clip_box_from_points, consistency_report,
                             cell_diameter, evaluate, load_run_artifacts,
-                            probe_stats, shrink_factor_check)
+                            probe_stats)
 from orf.forest import OnlineForest
 from orf.tree import InternalNode, Leaf, OnlineTree
 
@@ -100,18 +100,18 @@ class TestClipBox:
 class TestShrinkFactor:
     @pytest.mark.parametrize("m", [1, 5, 10])
     def test_matches_closed_form(self, m):
-        mean, stderr = shrink_factor_check(m, 100_000, RngStream(100 + m))
+        mean, stderr = shrink_factor_check(m, 100_000, 100 + m)
         assert abs(mean - (2 * m + 1) / (2 * m + 2)) < 3 * stderr
 
     def test_monotone_in_m_toward_one(self):
-        means = [shrink_factor_check(m, 40_000, RngStream(7))[0]
+        means = [shrink_factor_check(m, 40_000, 7)[0]
                  for m in (1, 4, 16, 64)]
         assert all(b > a for a, b in zip(means, means[1:]))
         assert means[-1] > 0.99
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            shrink_factor_check(0, 10, RngStream(1))
+            shrink_factor_check(0, 10, 1)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,13 @@
 import json
 import math
+import time
 
 import pytest
 
 from conftest import make_params, synthetic_stream
 from orf.core import LabeledPoint, RngStream
 from orf.forest import OnlineForest
+from orf.tree import OnlineTree
 
 
 def points_from_stream(stream):
@@ -24,7 +26,6 @@ class TestUpdate:
     def test_single_tree_forest_equals_tree(self):
         params = make_params(num_trees=1, m=3, master_seed=5)
         forest = OnlineForest(params, 2, 2)
-        from orf.tree import OnlineTree
         from orf.core import assign_stream
         solo = OnlineTree(params, 2, 2, RngStream(5).child(0))
         t = 0
@@ -71,6 +72,37 @@ class TestUpdate:
             forest.update_stream(good + bad)
         assert forest.t == 100
         assert forest.to_bytes() == before
+
+    def test_update_stream_failure_propagates_and_keeps_t(self):
+        forest = OnlineForest(make_params(num_trees=3, master_seed=5), 2, 2)
+        tree = forest.trees[1]
+        calls = []
+
+        def failing_update(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("tree 1 failed")
+            return OnlineTree.update(tree, *args)
+
+        tree.update = failing_update
+        with pytest.raises(RuntimeError, match="tree 1 failed"):
+            forest.update_stream(points_from_stream(synthetic_stream(3, 10)))
+        # tree 0 took the batch, tree 1 two points, tree 2 none: the
+        # forest is to be discarded, and its t says nothing moved
+        assert forest.t == 0
+        assert len(calls) == 3
+
+    def test_huge_lambda_trains_fast_with_every_dimension(self):
+        D = 4
+        params = make_params(num_trees=2, lam=1e12, m=2, master_seed=3)
+        forest = OnlineForest(params, D, 2)
+        stream = points_from_stream(synthetic_stream(5, 500, n_features=D))
+        t0 = time.monotonic()
+        forest.update_stream(stream)
+        assert time.monotonic() - t0 < 2.0
+        leaves = [l for tree in forest.trees for l in tree.leaves()]
+        assert len(leaves) > len(forest.trees)
+        assert all(sorted(l.candidate_dims) == list(range(D)) for l in leaves)
 
 
 class TestPredict:
@@ -152,6 +184,18 @@ class TestSerialization:
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError):
             OnlineForest.from_doc({"format": "other"})
+
+    @pytest.mark.parametrize("inactive", [False, True])
+    def test_rejects_active_flag_that_disagrees_with_stats(self, inactive):
+        """A leaf is active exactly when it has no "stats"; a document
+        saying otherwise is refused at load, not at the next update."""
+        doc = grown_forest(num_trees=1, n=600, fringe_capacity=3).to_doc()
+        leaves = [nd for nd in doc["trees"][0]["nodes"]
+                  if nd["kind"] == "leaf" and ("stats" in nd) is inactive]
+        assert leaves and all(nd["active"] is not inactive for nd in leaves)
+        leaves[0]["active"] = inactive
+        with pytest.raises(ValueError, match="active"):
+            OnlineForest.from_doc(doc)
 
     @pytest.mark.parametrize("version", [1, 3, None])
     def test_rejects_other_versions(self, version):

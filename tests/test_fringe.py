@@ -73,8 +73,8 @@ class TestActivationPolicy:
     def test_capacity_and_partition_of_leaves(self):
         tree = grow_bounded_tree(capacity=3)
         assert tree.split_count > 4
-        active = [l for l in tree.leaves() if l.active]
-        inactive = [l for l in tree.leaves() if not l.active]
+        active = [l for l in tree.leaves() if l.stats is None]
+        inactive = [l for l in tree.leaves() if l.stats is not None]
         assert len(active) <= 3
         assert {l.node_id for l in active} == tree.fringe.active_ids
         assert {l.node_id for l in inactive} == tree.fringe.inactive_ids
@@ -101,7 +101,7 @@ class TestActivationPolicy:
         def hook(tr):
             snap = []
             for node in tr.nodes:
-                if type(node) is Leaf and not node.active:
+                if type(node) is Leaf and node.stats is not None:
                     st = node.stats
                     lifetime = tr.total_est_seen - st.est_tree_at_creation
                     p = st.n_est_in_leaf / max(1, lifetime)
@@ -117,7 +117,7 @@ class TestActivationPolicy:
         assert len(snapshots) == len(activations)
         for snap, rec in zip(snapshots, activations):
             neg_s, created, node_id, p, e = snap[0]
-            assert rec.leaf_id == node_id
+            assert rec.leaf == node_id
             assert rec.s_hat == pytest.approx(-neg_s)
             assert (rec.p_hat, rec.e_hat) == pytest.approx((p, e))
             if len(snap) > 1:
@@ -133,7 +133,7 @@ class TestActivationPolicy:
         _, activations = tree.drain_events()
         (rec,) = activations
         inactive_id = next(iter(tree.fringe.inactive_ids))
-        chosen, passed_over = tree.nodes[rec.leaf_id], tree.nodes[inactive_id]
+        chosen, passed_over = tree.nodes[rec.leaf], tree.nodes[inactive_id]
         assert rec.s_hat == 0.0
         assert chosen.created_at == passed_over.created_at
         assert chosen.node_id < passed_over.node_id
@@ -175,4 +175,4 @@ class TestUnboundedEquivalence:
 
     def test_huge_capacity_activates_children_immediately(self):
         tree = grow_bounded_tree(capacity=10 ** 9)
-        assert all(l.active for l in tree.leaves())
+        assert all(l.stats is None for l in tree.leaves())

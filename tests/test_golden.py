@@ -15,7 +15,9 @@ import sys
 import pytest
 
 from conftest import FIXTURES, make_params
-from orf.experiment import ExperimentConfig, MogSource, run_all
+from orf.experiment import (ACTIVATIONS_COLUMNS, CURVES_COLUMNS,
+                            SPLITS_COLUMNS, ExperimentConfig, MogSource,
+                            run_all)
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DIGESTS = FIXTURES / "golden_digests.json"
@@ -47,6 +49,13 @@ def run_digests(name, out_dir) -> dict:
 def test_golden_digests(name, tmp_path):
     expected = json.loads(DIGESTS.read_text())[name]
     assert run_digests(name, tmp_path / name) == expected
+    # each header is the list derived from its record class
+    run_dir = tmp_path / name / "run00"
+    headers = {f: (run_dir / f).read_text().split("\n", 1)[0]
+               for f in FILES[:3]}
+    assert headers == {"curves.csv": ",".join(CURVES_COLUMNS),
+                       "splits.csv": ",".join(SPLITS_COLUMNS),
+                       "activations.csv": ",".join(ACTIVATIONS_COLUMNS)}
 
 
 def test_fringe_case_has_activations(tmp_path):

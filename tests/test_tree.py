@@ -34,7 +34,6 @@ def bare_leaf(depth=0, C=2, dims=(0,), est=None):
     leaf = Leaf(0, depth, [0] * C, 0, list(dims), 0)
     if est:
         set_est(leaf, est)
-    leaf.active = True
     return leaf
 
 
@@ -309,7 +308,7 @@ class TestUpdate:
         drive(tree, [((0.5,), 0, E), ((0.6,), 1, E), ((0.4,), 0, S),
                      ((0.2,), 0, E), ((0.8,), 1, E), ((0.3,), 0, S)])
         # root split; capacity 1 -> one child active, one inactive
-        inactive = [l for l in tree.leaves() if not l.active]
+        inactive = [l for l in tree.leaves() if l.stats is not None]
         assert len(inactive) == 1
         lo, hi = leaf_cells(tree)[inactive[0].node_id][0]
         x = ((lo + hi) / 2 if math.isfinite(lo + hi)
