@@ -8,21 +8,21 @@ Subcommands:
 Exit codes:
   train        0=ok 2=bad or unreadable config 3=bad, missing or unreadable
                data 4=invariant violation 5=cannot write artifacts
-  diagnose     0=pass 1=invariant failure 3=missing artifacts
+  diagnose     0=pass 1=invariant failure 3=missing or malformed artifacts
   parse-check  0=valid 1=malformed 3=missing file
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import pathlib
 import sys
 
 from orf.core import InvariantViolation
 from orf.data import ParseError, parse_libsvm
-from orf.evaluation import (MissingArtifacts, consistency_report,
-                            load_run_artifacts)
+from orf.evaluation import consistency_report, load_run_artifacts
 from orf.experiment import ConfigError, DataError, ExperimentConfig, run_all
 
 
@@ -59,8 +59,8 @@ def cmd_train(args) -> int:
         line = (f"run {res.run_dir.name}: t={last.t} "
                 f"forest_accuracy={last.forest_accuracy:.4f} "
                 f"mean_tree_accuracy={last.mean_tree_accuracy:.4f}")
-        if res.bayes_accuracy is not None:
-            line += f" bayes_accuracy={res.bayes_accuracy:.4f}"
+        if last.bayes_accuracy is not None:
+            line += f" bayes_accuracy={last.bayes_accuracy:.4f}"
         print(line)
     return 0
 
@@ -83,11 +83,16 @@ def cmd_diagnose(args) -> int:
     all_ok = True
     for run_dir in dirs:
         try:
-            artifacts = load_run_artifacts(run_dir)
-        except MissingArtifacts as exc:
+            audit = consistency_report(load_run_artifacts(run_dir))
+        except OSError as exc:      # MissingArtifacts or an unreadable file
             print(str(exc), file=sys.stderr)
             return 3
-        audit = consistency_report(artifacts)
+        except (LookupError, TypeError, ValueError, ArithmeticError,
+                csv.Error) as exc:
+            # MalformedArtifacts or a value the audit cannot read; a failed
+            # invariant is reported in the audit, never raised
+            print(f"{run_dir}: malformed artifacts: {exc!r}", file=sys.stderr)
+            return 3
         for line in audit.lines():
             print(f"{run_dir.name}: {line}")
         all_ok = all_ok and audit.ok

@@ -34,6 +34,14 @@ class StreamAssignment(enum.Enum):
     SKIP = "skip"
 
 
+def check_features(x, n_features: int) -> None:
+    """The one feature rule: exactly n_features values, all finite."""
+    if len(x) != n_features:
+        raise ValueError(f"expected {n_features} features, got {len(x)}")
+    if not all(map(math.isfinite, x)):
+        raise ValueError("features must be finite")
+
+
 @dataclass(frozen=True)
 class LabeledPoint:
     """One stream element: feature vector plus class index in [0, C)."""
@@ -42,10 +50,7 @@ class LabeledPoint:
     y: int
 
     def validate(self, n_features: int, n_classes: int) -> None:
-        if len(self.x) != n_features:
-            raise ValueError(f"expected {n_features} features, got {len(self.x)}")
-        if not all(math.isfinite(v) for v in self.x):
-            raise ValueError("features must be finite")
+        check_features(self.x, n_features)
         if not 0 <= self.y < n_classes:
             raise ValueError(f"label {self.y} outside [0, {n_classes})")
 
@@ -291,8 +296,5 @@ class RngStream:
     @classmethod
     def from_state(cls, state: dict) -> "RngStream":
         rng = cls(_entropy=state["entropy"], _spawn_key=tuple(state["spawn_key"]))
-        bg = state["bit_generator"]
-        # JSON round-trips turn the inner ints into ints already; numpy
-        # accepts the dict as-is.
-        rng._gen.bit_generator.state = bg
+        rng._gen.bit_generator.state = state["bit_generator"]
         return rng

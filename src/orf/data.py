@@ -40,13 +40,12 @@ def _parse_label(tok: str, lineno: int):
     return int(v) if v == int(v) else v
 
 
-def parse_libsvm(text: str, n_features: int | None = None) -> Dataset:
+def parse_libsvm(text: str) -> Dataset:
     """Parse `<label> <index>:<value> ...` lines into a dense Dataset.
 
     Indices are 1-based and must be strictly increasing within a line;
-    absent indices read as 0. The feature count is the largest index seen
-    unless pinned by n_features. Labels are remapped to 0..C-1 by sorted
-    original value.
+    absent indices read as 0. The feature count is the largest index seen.
+    Labels are remapped to 0..C-1 by sorted original value.
     """
     rows = []
     max_index = 0
@@ -79,24 +78,18 @@ def parse_libsvm(text: str, n_features: int | None = None) -> Dataset:
                 raise ParseError(f"line {lineno}: non-finite value {tok!r}")
             prev = idx
             pairs.append((idx, val))
-        if n_features is not None and prev > n_features:
-            raise ParseError(f"line {lineno}: index {prev} exceeds "
-                             f"n_features={n_features}")
         max_index = max(max_index, prev)
         raw_labels.add(label)
         rows.append((label, pairs))
-    if not rows:
-        raise ParseError("empty input")
-    dim = n_features if n_features is not None else max_index
     labels = sorted(raw_labels)
     label_map = {orig: i for i, orig in enumerate(labels)}
     points = []
     for label, pairs in rows:
-        x = [0.0] * dim
+        x = [0.0] * max_index
         for idx, val in pairs:
             x[idx - 1] = val
         points.append(LabeledPoint(tuple(x), label_map[label]))
-    return Dataset(points, dim, len(labels), labels)
+    return Dataset(points, max_index, len(labels), labels)
 
 
 def align_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:

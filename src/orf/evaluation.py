@@ -13,10 +13,36 @@ import json
 import math
 import pathlib
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from orf.core import HyperParams, alpha, majority, split_budget
 from orf.forest import OnlineForest
+from orf.fringe import ActivationRecord
+from orf.tree import SplitRecord
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """One row of curves.csv: the forest measured at stream position t."""
+    t: int
+    forest_accuracy: float
+    mean_tree_accuracy: float
+    std_tree_accuracy: float
+    bayes_accuracy: float | None
+    split_count: int
+    active_leaves: int
+    inactive_leaves: int
+    median_diameter: float
+    min_est_count: int
+    median_est_count: float
+
+
+# Each CSV's columns are its record's fields; splits and activations put
+# the tree index after t.
+CURVES_COLUMNS = [f.name for f in fields(Checkpoint)]
+SPLITS_COLUMNS = ["t", "tree"] + [f.name for f in fields(SplitRecord)][1:]
+ACTIVATIONS_COLUMNS = ["t", "tree"] + [
+    f.name for f in fields(ActivationRecord)][1:]
 
 
 def evaluate(forest: OnlineForest, test_points):
@@ -96,35 +122,48 @@ class RunAudit:
         return not self.hard_failures
 
     def lines(self):
-        out = []
-        for msg in self.hard_failures:
-            out.append(f"FAIL {msg}")
-        out.extend(self.notes)
-        out.append("result: " + ("PASS" if self.ok else "FAIL"))
-        return out
+        return ([f"FAIL {msg}" for msg in self.hard_failures] + self.notes
+                + ["result: " + ("PASS" if self.ok else "FAIL")])
 
 
 class MissingArtifacts(FileNotFoundError):
     pass
 
 
-def _read_csv(path: pathlib.Path):
+class MalformedArtifacts(ValueError):
+    pass
+
+
+def _read_csv(path: pathlib.Path, columns) -> list[dict]:
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != columns:
+            raise MalformedArtifacts(f"{path.name}: columns are not "
+                                     f"{','.join(columns)}")
+        return list(reader)
 
 
 def load_run_artifacts(run_dir):
+    """A run directory's four artifacts; raises MissingArtifacts or
+    MalformedArtifacts where they cannot be what a run writes."""
     run_dir = pathlib.Path(run_dir)
     needed = ["run.json", "curves.csv", "splits.csv", "activations.csv"]
     missing = [n for n in needed if not (run_dir / n).exists()]
     if missing:
         raise MissingArtifacts(f"{run_dir}: missing {', '.join(missing)}")
-    with open(run_dir / "run.json") as fh:
-        run = json.load(fh)
+    try:
+        with open(run_dir / "run.json", "rb") as fh:
+            run = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedArtifacts(f"run.json: not JSON: {exc}") from None
+    curves = _read_csv(run_dir / "curves.csv", CURVES_COLUMNS)
+    if not curves:
+        raise MalformedArtifacts("curves.csv: no checkpoint")
     return {"run": run,
-            "curves": _read_csv(run_dir / "curves.csv"),
-            "splits": _read_csv(run_dir / "splits.csv"),
-            "activations": _read_csv(run_dir / "activations.csv")}
+            "curves": curves,
+            "splits": _read_csv(run_dir / "splits.csv", SPLITS_COLUMNS),
+            "activations": _read_csv(run_dir / "activations.csv",
+                                     ACTIVATIONS_COLUMNS)}
 
 
 def consistency_report(artifacts: dict) -> RunAudit:

@@ -8,7 +8,9 @@ are a pure function of config + master seed.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -21,10 +23,10 @@ from orf.core import (RESERVED_CHILD_INDICES, HyperParams,
                       sum_in_order, write_atomic)
 from orf.data import (Dataset, MixtureOfGaussians, ParseError, align_pair,
                       parse_libsvm, stream_schedule)
-from orf.evaluation import clip_box_from_points, evaluate, probe_stats
+from orf.evaluation import (ACTIVATIONS_COLUMNS, CURVES_COLUMNS,
+                            SPLITS_COLUMNS, Checkpoint, clip_box_from_points,
+                            evaluate, probe_stats)
 from orf.forest import OnlineForest
-from orf.fringe import ActivationRecord
-from orf.tree import SplitRecord
 
 
 class ConfigError(ValueError):
@@ -209,42 +211,10 @@ def load_data(config: ExperimentConfig) -> DataContext:
                        train=train, test=test)
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    t: int
-    forest_accuracy: float
-    mean_tree_accuracy: float
-    std_tree_accuracy: float
-    bayes_accuracy: float | None
-    split_count: int
-    active_leaves: int
-    inactive_leaves: int
-    median_diameter: float
-    min_est_count: int
-    median_est_count: float
-
-
-# Each CSV's columns are its record's fields; splits and activations put
-# the tree index after t.
-CURVES_COLUMNS = [f.name for f in fields(Checkpoint)]
-SPLITS_COLUMNS = ["t", "tree"] + [f.name for f in fields(SplitRecord)][1:]
-ACTIVATIONS_COLUMNS = ["t", "tree"] + [
-    f.name for f in fields(ActivationRecord)][1:]
-
-
 @dataclass
 class RunResult:
     run_dir: pathlib.Path
     checkpoints: list[Checkpoint]
-    bayes_accuracy: float | None
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _event_rows(records, tree: int, columns) -> list[tuple]:
@@ -253,9 +223,12 @@ def _event_rows(records, tree: int, columns) -> list[tuple]:
 
 
 def _write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    """The dialect `evaluation` reads: a float is its repr, None is empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue().encode())
 
 
 def run_experiment(config: ExperimentConfig, ctx: DataContext,
@@ -298,7 +271,7 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
 
     run_dir = pathlib.Path(config.out_dir) / f"run{run_index:02d}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    curve_rows, split_rows, act_rows = [], [], []
+    split_rows, act_rows = [], []
     cp_records = []
     summary = []
     pos = 0
@@ -325,16 +298,14 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
         std_acc = (sum_in_order((a - mean_acc) ** 2 for a in tree_accs)
                    / len(tree_accs)) ** 0.5
         med_diam, min_est, med_est = probe_stats(forest, probes, clip_box)
-        record = Checkpoint(
+        cp_records.append(Checkpoint(
             t=cp, forest_accuracy=forest_acc, mean_tree_accuracy=mean_acc,
             std_tree_accuracy=std_acc, bayes_accuracy=bayes_accuracy,
             split_count=sum(tr["splits"] for tr in per_tree),
             active_leaves=sum(tr["active"] for tr in per_tree),
             inactive_leaves=sum(tr["inactive"] for tr in per_tree),
             median_diameter=med_diam, min_est_count=min_est,
-            median_est_count=med_est)
-        cp_records.append(record)
-        curve_rows.append(tuple(getattr(record, c) for c in CURVES_COLUMNS))
+            median_est_count=med_est))
         summary.append({"t": cp, "per_tree": per_tree})
 
     split_rows.sort(key=lambda r: (r[0], r[1]))
@@ -342,7 +313,8 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
     # every artifact is renamed into place once complete, and run.json goes
     # last: a run directory without it is unfinished and fails `diagnose`
     (run_dir / "run.json").unlink(missing_ok=True)
-    _write_csv(run_dir / "curves.csv", CURVES_COLUMNS, curve_rows)
+    _write_csv(run_dir / "curves.csv", CURVES_COLUMNS,
+               [dataclasses.astuple(r) for r in cp_records])
     _write_csv(run_dir / "splits.csv", SPLITS_COLUMNS, split_rows)
     _write_csv(run_dir / "activations.csv", ACTIVATIONS_COLUMNS, act_rows)
     forest.save(run_dir / "forest.json.gz")
@@ -359,8 +331,7 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
     }
     write_atomic(run_dir / "run.json",
                  (json.dumps(run_doc, indent=1) + "\n").encode())
-    return RunResult(run_dir=run_dir, checkpoints=cp_records,
-                     bayes_accuracy=bayes_accuracy)
+    return RunResult(run_dir=run_dir, checkpoints=cp_records)
 
 
 def run_all(config: ExperimentConfig) -> list[RunResult]:

@@ -12,7 +12,7 @@ import io
 import json
 
 from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream,
-                      majority, write_atomic)
+                      check_features, majority, write_atomic)
 from orf.tree import OnlineTree
 
 FOREST_FORMAT = "orf-forest"
@@ -35,17 +35,12 @@ class OnlineForest:
 
     # -- training -----------------------------------------------------------
 
-    def update(self, point: LabeledPoint):
-        """Feed one labeled point to every tree; returns per-tree splits."""
-        point.validate(self.n_features, self.n_classes)
-        self.t += 1
-        t = self.t
-        return [tree.update(point.x, point.y,
-                            assign_stream(tree.rng, self.params), t)
-                for tree in self.trees]
+    def update(self, point: LabeledPoint) -> None:
+        """Feed one labeled point to every tree: `update_stream` of one."""
+        self.update_stream((point,))
 
     def update_stream(self, points) -> None:
-        """Feed a batch tree by tree; equals calling `update` per point.
+        """Feed a batch to every tree, tree by tree, point by point.
 
         Every point is validated before any tree moves, so a bad batch
         leaves the forest as it was. A tree update that raises part-way
@@ -68,6 +63,7 @@ class OnlineForest:
     # -- prediction -----------------------------------------------------------
 
     def vote_counts(self, x) -> list[int]:
+        check_features(x, self.n_features)
         counts = [0] * self.n_classes
         for tree in self.trees:
             counts[tree.predict_class(x)] += 1

@@ -54,12 +54,12 @@ def score(stats: InactiveLeafStats,
 
 
 class FringeState:
-    """Per-tree active/inactive bookkeeping. capacity=None disables it."""
+    """Per-tree active/inactive bookkeeping, bounded by the tree's
+    `params.fringe_capacity` (None disables it)."""
 
-    __slots__ = ("capacity", "active_ids", "inactive_ids", "activation_hook")
+    __slots__ = ("active_ids", "inactive_ids", "activation_hook")
 
-    def __init__(self, capacity: int | None):
-        self.capacity = capacity
+    def __init__(self):
         self.active_ids: set[int] = set()
         self.inactive_ids: set[int] = set()
         # test instrumentation: called as hook(tree) right before each
@@ -84,23 +84,24 @@ class FringeState:
         at steady state exactly one leaf does.
         """
         self.active_ids.discard(parent.node_id)
-        if self.capacity is None:
+        capacity = tree.params.fringe_capacity
+        if capacity is None:
             self.active_ids.update((left.node_id, right.node_id))
             return
         for child in (left, right):
             child.stats = InactiveLeafStats(
                 est_tree_at_creation=tree.total_est_seen)
             self.inactive_ids.add(child.node_id)
-        while len(self.active_ids) < self.capacity and self.inactive_ids:
+        while len(self.active_ids) < capacity and self.inactive_ids:
             if self.activation_hook is not None:
                 self.activation_hook(tree)
             self._activate_best(tree, t)
-        if len(self.active_ids) > self.capacity:
+        if len(self.active_ids) > capacity:
             raise InvariantViolation(
                 f"fringe capacity exceeded: {len(self.active_ids)} active "
-                f"> {self.capacity}")
+                f"> {capacity}")
 
-    def _activate_best(self, tree, t: int) -> int:
+    def _activate_best(self, tree, t: int) -> None:
         scored = []
         for node_id in self.inactive_ids:
             leaf = tree.nodes[node_id]
@@ -118,4 +119,3 @@ class FringeState:
         self.active_ids.add(chosen_id)
         leaf.stats = None
         tree.pending_activations.append(record)
-        return chosen_id

@@ -197,7 +197,7 @@ class OnlineTree:
         self.rng = rng
         self.nodes: list = []
         self.total_est_seen = 0
-        self.fringe = FringeState(params.fringe_capacity)
+        self.fringe = FringeState()
         self.pending_splits: list[SplitRecord] = []
         self.pending_activations: list = []
         if _empty:
@@ -219,9 +219,6 @@ class OnlineTree:
         leaf = Leaf(len(self.nodes), depth, est, n_est, dims, created_at)
         self.nodes.append(leaf)
         return leaf
-
-    def leaves(self):
-        return [n for n in self.nodes if type(n) is Leaf]
 
     # -- routing and prediction -------------------------------------------
 
@@ -257,22 +254,16 @@ class OnlineTree:
                 node = nodes[node.right]
         return node, list(zip(lo, hi))
 
-    def predict_posterior(self, x) -> list[float]:
-        leaf = self.route(x)
-        if leaf.n_est == 0:
-            return [1.0 / self.n_classes] * self.n_classes
-        return [c / leaf.n_est for c in leaf.est]
-
     def predict_class(self, x) -> int:
         return majority(self.route(x).est)
 
     # -- stream updates ----------------------------------------------------
 
     def update(self, x, y: int, assignment: StreamAssignment,
-               t: int) -> SplitRecord | None:
-        """Absorb one stream element; returns the split it caused, if any."""
+               t: int) -> None:
+        """Absorb one stream element; a split is queued for `drain_events`."""
         if assignment is StreamAssignment.SKIP:
-            return None
+            return
         leaf = self.route(x)
         if assignment is StreamAssignment.ESTIMATION:
             self.total_est_seen += 1
@@ -287,10 +278,10 @@ class OnlineTree:
                 else:
                     s.re[y] += 1
                     s.nre += 1
-            return None
+            return
         # structure point; an inactive leaf ignores it
         if leaf.stats is not None:
-            return None
+            return
         # fewer than m structure points projected so far
         if len(leaf.candidate_splits) < \
                 self.params.m * len(leaf.candidate_dims):
@@ -300,11 +291,10 @@ class OnlineTree:
         best, gain = _best_valid(leaf, self.params)
         if best is not None and (gain > self.params.tau
                                  or must_split(leaf, self.params)):
-            return self._perform_split(leaf, best, gain, t)
-        return None
+            self._perform_split(leaf, best, gain, t)
 
     def _perform_split(self, leaf: Leaf, s: CandidateSplit, gain: float,
-                       t: int) -> SplitRecord:
+                       t: int) -> None:
         d = leaf.depth
         a = alpha(self.params, d)
         if s.nle < a or s.nre < a:
@@ -317,13 +307,13 @@ class OnlineTree:
         right = self._new_leaf(d + 1, s.re, s.nre, t)
         self.nodes[leaf.node_id] = InternalNode(
             s.dim, s.threshold, left.node_id, right.node_id)
-        record = SplitRecord(t=t, depth=d, dim=s.dim, threshold=s.threshold,
-                             gain=gain, left_est=s.nle, right_est=s.nre)
-        self.pending_splits.append(record)
+        self.pending_splits.append(SplitRecord(
+            t=t, depth=d, dim=s.dim, threshold=s.threshold, gain=gain,
+            left_est=s.nle, right_est=s.nre))
         self.fringe.on_leaf_split(self, leaf, left, right, t)
-        return record
 
     def drain_events(self):
+        """Split and activation records since the last drain, oldest first."""
         splits, activations = self.pending_splits, self.pending_activations
         self.pending_splits, self.pending_activations = [], []
         return splits, activations

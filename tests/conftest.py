@@ -56,15 +56,17 @@ def shrink_factor_check(m: int, trials: int, seed: int):
 
 
 def drive(tree, stream, t0=0):
-    """Push (x, y, tag) triples through a tree; returns split records."""
-    splits = []
-    t = t0
-    for x, y, tag in stream:
-        t += 1
-        rec = tree.update(x, y, tag, t)
-        if rec is not None:
-            splits.append(rec)
-    return splits
+    """Push (x, y, tag) triples through a tree, labelled t0+1, t0+2, ...;
+    returns (split records, activation records) from `drain_events`."""
+    for t, (x, y, tag) in enumerate(stream, start=t0 + 1):
+        tree.update(x, y, tag, t)
+    return tree.drain_events()
+
+
+def leaves(tree):
+    """The tree's leaves in node-id order."""
+    from orf.tree import Leaf
+    return [n for n in tree.nodes if type(n) is Leaf]
 
 
 def load_tiny_fixture():
@@ -115,7 +117,7 @@ def tree_skeleton(tree):
 def leaf_cells_in_order(tree):
     """(leaf, cell) pairs sorted spatially (1-D helper for the tiny fixture)."""
     cells = leaf_cells(tree)
-    return sorted(((l, cells[l.node_id]) for l in tree.leaves()),
+    return sorted(((l, cells[l.node_id]) for l in leaves(tree)),
                   key=lambda pair: pair[1][0][0])
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import make_params
 from orf.cli import main
+from orf.evaluation import SPLITS_COLUMNS
 from orf.experiment import (ConfigError, DataError, ExperimentConfig,
                             LibsvmSource, MogSource, load_data, run_all)
 
@@ -197,6 +198,30 @@ class TestCli:
     def test_diagnose_empty_dir_exit_3(self, tmp_path):
         assert main(["diagnose", str(tmp_path)]) == 3
         assert main(["diagnose", str(tmp_path / "missing")]) == 3
+
+    @pytest.mark.parametrize("name, spoil, fragment", [
+        ("run.json", lambda text: "{}", "'params'"),
+        ("curves.csv", lambda text: text.split("\n", 1)[0] + "\n",
+         "curves.csv: no checkpoint"),
+        ("run.json", lambda text: text[:len(text) // 2], "run.json: not JSON"),
+        ("splits.csv", lambda text: "\n".join(
+            ",".join(c for i, c in enumerate(line.split(","))
+                     if i != SPLITS_COLUMNS.index("left_est"))
+            for line in text.split("\n")), "splits.csv: columns"),
+    ], ids=["empty_run_json", "header_only_curves", "run_json_not_json",
+            "splits_without_left_est"])
+    def test_diagnose_malformed_artifacts_exit_3(self, tmp_path, capsys,
+                                                 name, spoil, fragment):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 0
+        path = tmp_path / "out" / "run00" / name
+        path.write_text(spoil(path.read_text()))
+        capsys.readouterr()
+        assert main(["diagnose", str(tmp_path / "out")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "malformed artifacts" in err
+        assert fragment in err
 
     def test_parse_check(self, tmp_path, capsys):
         good = tmp_path / "good"

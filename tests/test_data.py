@@ -73,13 +73,6 @@ class TestParser:
         with pytest.raises(ParseError, match=fragment):
             parse_libsvm(text)
 
-    def test_pinned_feature_count(self):
-        ds = parse_libsvm("1 1:1", n_features=6)
-        assert ds.n_features == 6
-        assert ds.points[0].x == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ParseError, match="exceeds"):
-            parse_libsvm("1 7:1", n_features=6)
-
     def test_align_pair(self):
         train = parse_libsvm("5 1:1 3:1\n7 1:2")
         test = parse_libsvm("7 4:1\n6 1:1")

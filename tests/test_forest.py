@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import make_params, synthetic_stream
+from conftest import leaves, make_params, synthetic_stream
 from orf.core import LabeledPoint, RngStream
 from orf.forest import OnlineForest
 from orf.tree import OnlineTree
@@ -53,10 +53,16 @@ class TestUpdate:
 
     def test_point_validation(self):
         forest = OnlineForest(make_params(num_trees=1), 2, 2)
-        with pytest.raises(ValueError):
-            forest.update(LabeledPoint((0.0,), 0))
+        # one feature rule for training and prediction: length and finiteness
+        for x in [(0.0,), (0.0, 0.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                  (0.0, -math.inf)]:
+            with pytest.raises(ValueError):
+                forest.update(LabeledPoint(x, 0))
+            with pytest.raises(ValueError):
+                forest.predict(x)
         with pytest.raises(ValueError):
             forest.update(LabeledPoint((0.0, 0.0), 7))
+        assert forest.t == 0
 
     @pytest.mark.parametrize("bad", [
         [LabeledPoint((math.nan, 0.0), 0)] * 200,
@@ -100,9 +106,9 @@ class TestUpdate:
         t0 = time.monotonic()
         forest.update_stream(stream)
         assert time.monotonic() - t0 < 2.0
-        leaves = [l for tree in forest.trees for l in tree.leaves()]
-        assert len(leaves) > len(forest.trees)
-        assert all(sorted(l.candidate_dims) == list(range(D)) for l in leaves)
+        grown = [l for tree in forest.trees for l in leaves(tree)]
+        assert len(grown) > len(forest.trees)
+        assert all(sorted(l.candidate_dims) == list(range(D)) for l in grown)
 
 
 class TestPredict:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import drive, make_params, synthetic_stream
+from conftest import drive, leaves, make_params, synthetic_stream
 from orf.core import RngStream, StreamAssignment
 from orf.fringe import InactiveLeafStats, score
 from orf.tree import InternalNode, Leaf, OnlineTree
@@ -73,8 +73,8 @@ class TestActivationPolicy:
     def test_capacity_and_partition_of_leaves(self):
         tree = grow_bounded_tree(capacity=3)
         assert tree.split_count > 4
-        active = [l for l in tree.leaves() if l.stats is None]
-        inactive = [l for l in tree.leaves() if l.stats is not None]
+        active = [l for l in leaves(tree) if l.stats is None]
+        inactive = [l for l in leaves(tree) if l.stats is not None]
         assert len(active) <= 3
         assert {l.node_id for l in active} == tree.fringe.active_ids
         assert {l.node_id for l in inactive} == tree.fringe.inactive_ids
@@ -111,8 +111,7 @@ class TestActivationPolicy:
             snapshots.append(sorted(snap))
 
         tree.fringe.activation_hook = hook
-        drive(tree, synthetic_stream(23, 1200))
-        _, activations = tree.drain_events()
+        _, activations = drive(tree, synthetic_stream(23, 1200))
         assert len(activations) >= 4
         assert len(snapshots) == len(activations)
         for snap, rec in zip(snapshots, activations):
@@ -128,10 +127,8 @@ class TestActivationPolicy:
                              beta_multiplier=2.0)
         tree = OnlineTree(params, 1, 2, RngStream(2))
         # split the root: two children appear with identical (zero) scores
-        drive(tree, [((0.5,), 0, S), ((0.3,), 0, E), ((0.8,), 1, E),
-                     ((0.6,), 1, S)])
-        _, activations = tree.drain_events()
-        (rec,) = activations
+        _, (rec,) = drive(tree, [((0.5,), 0, S), ((0.3,), 0, E),
+                                 ((0.8,), 1, E), ((0.6,), 1, S)])
         inactive_id = next(iter(tree.fringe.inactive_ids))
         chosen, passed_over = tree.nodes[rec.leaf], tree.nodes[inactive_id]
         assert rec.s_hat == 0.0
@@ -152,9 +149,9 @@ class TestActivationPolicy:
             tree.nodes.append(leaf)
             tree.fringe.inactive_ids.add(leaf.node_id)
             leaves.append(leaf)
-        chosen_id = tree.fringe._activate_best(tree, t=200)
-        assert chosen_id == leaves[1].node_id  # created_at 3 wins over 7
-        (rec,) = tree.pending_activations
+        tree.fringe._activate_best(tree, t=200)
+        _, (rec,) = tree.drain_events()
+        assert rec.leaf == leaves[1].node_id  # created_at 3 wins over 7
         assert rec.s_hat == pytest.approx(0.05)
         assert rec.best_other_s_hat == pytest.approx(0.05)
         assert rec.best_other_created_at == 7
@@ -175,4 +172,4 @@ class TestUnboundedEquivalence:
 
     def test_huge_capacity_activates_children_immediately(self):
         tree = grow_bounded_tree(capacity=10 ** 9)
-        assert all(l.stats is None for l in tree.leaves())
+        assert all(l.stats is None for l in leaves(tree))

@@ -15,9 +15,9 @@ import sys
 import pytest
 
 from conftest import FIXTURES, make_params
-from orf.experiment import (ACTIVATIONS_COLUMNS, CURVES_COLUMNS,
-                            SPLITS_COLUMNS, ExperimentConfig, MogSource,
-                            run_all)
+from orf.evaluation import (ACTIVATIONS_COLUMNS, CURVES_COLUMNS,
+                            SPLITS_COLUMNS)
+from orf.experiment import ExperimentConfig, MogSource, run_all
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DIGESTS = FIXTURES / "golden_digests.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (drive, leaf_cells, leaf_cells_in_order,
+from conftest import (drive, leaf_cells, leaf_cells_in_order, leaves,
                       load_tiny_fixture, make_params, synthetic_stream,
                       tree_skeleton)
 from orf.core import InvariantViolation, RngStream, StreamAssignment
@@ -168,10 +168,9 @@ class TestGates:
         for tau, splits in ((g / 2, True), (g, False)):  # "> tau" is strict
             tree = gate_tree([cand(ls=[1, 1], rs=[0, 1],
                                    le=[2, 2], re=[2, 2])], tau=tau)
-            rec = tree.update((0.9, 0.0), 1, S, 1)
-            assert (rec is not None) == splits
-            if splits:
-                assert rec.gain == g
+            tree.update((0.9, 0.0), 1, S, 1)
+            recs, _ = tree.drain_events()
+            assert [r.gain for r in recs] == ([g] if splits else [])
 
     def test_must_split_threshold(self):
         p = make_params(alpha_base=1.0, beta_multiplier=10.0)  # beta(0)=10
@@ -186,7 +185,8 @@ class TestGates:
         # past beta(0) = 1, but a leaf without candidates cannot split
         tree = gate_tree([], est=[50, 50], beta_multiplier=1.0)
         assert must_split(tree.nodes[0], tree.params)
-        assert tree.update((0.9, 0.0), 1, S, 1) is None
+        tree.update((0.9, 0.0), 1, S, 1)
+        assert tree.drain_events() == ([], [])
         assert tree.split_count == 0
 
 
@@ -206,14 +206,16 @@ class TestBestSplit:
         # the tree splits on the same choice; the structure point goes
         # right under both, so they still tie
         tree = gate_tree([invalid, twin, strong], tau=0.5, alpha_base=1.0)
-        rec = tree.update((0.9, 0.9), 1, S, 1)
+        tree.update((0.9, 0.9), 1, S, 1)
+        (rec,), _ = tree.drain_events()
         assert rec.dim == twin.dim
 
     def test_no_valid_candidate_raises(self):
         tree = gate_tree([cand(le=[0, 0], re=[5, 5])], beta_multiplier=1.0)
         leaf = tree.nodes[0]
         assert _best_valid(leaf, tree.params) == (None, -1.0)
-        assert tree.update((0.9, 0.0), 1, S, 1) is None
+        tree.update((0.9, 0.0), 1, S, 1)
+        assert tree.drain_events() == ([], [])
         # the split itself re-checks the alpha gate
         with pytest.raises(InvariantViolation, match="validity gate"):
             tree._perform_split(leaf, leaf.candidate_splits[0], 0.0, 2)
@@ -241,7 +243,7 @@ class TestCandidateCreation:
         tree = new_tree(make_params(m=1, lam=0.0), D=1)
         tree.update((0.5,), 0, S, 1)
         tree.update((0.8,), 1, S, 2)
-        (leaf,) = tree.leaves()
+        (leaf,) = leaves(tree)
         assert leaf.candidate_dims == [0]
         assert [s.threshold for s in leaf.candidate_splits] == [0.5]
 
@@ -261,8 +263,9 @@ class TestRouting:
         tree.update((0.5, 0.0), 0, S, 1)        # candidate (dim 0, thr 0.5)
         tree.update((0.2, 0.0), 0, E, 2)
         tree.update((0.9, 0.0), 1, E, 3)
-        rec = tree.update((0.7, 0.0), 1, S, 4)  # valid + gain 1 -> split
-        assert rec is not None and rec.threshold == 0.5
+        tree.update((0.7, 0.0), 1, S, 4)        # valid + gain 1 -> split
+        (rec,), _ = tree.drain_events()
+        assert rec.threshold == 0.5
         left, left_cell = tree.cell((0.5, 123.0))
         right, right_cell = tree.cell((0.5000001, 0.0))
         assert left is tree.route((0.5, 123.0)) is not right
@@ -292,14 +295,16 @@ class TestRouting:
 class TestUpdate:
     def test_estimation_into_fresh_root(self):
         tree = new_tree()
-        assert tree.update((0.3, 0.3), 1, E, 1) is None
+        tree.update((0.3, 0.3), 1, E, 1)
+        assert tree.drain_events() == ([], [])
         assert (tree.nodes[0].est, tree.nodes[0].n_est) == ([0, 1], 1)
 
     def test_skip_is_noop(self):
         tree = new_tree()
         drive(tree, synthetic_stream(3, 60))
         before = json.dumps(tree.to_doc())
-        assert tree.update((0.5, 0.5), 1, SKIP, 999) is None
+        tree.update((0.5, 0.5), 1, SKIP, 999)
+        assert tree.drain_events() == ([], [])
         assert json.dumps(tree.to_doc()) == before
 
     def test_structure_ignored_in_inactive_leaf(self):
@@ -308,7 +313,7 @@ class TestUpdate:
         drive(tree, [((0.5,), 0, E), ((0.6,), 1, E), ((0.4,), 0, S),
                      ((0.2,), 0, E), ((0.8,), 1, E), ((0.3,), 0, S)])
         # root split; capacity 1 -> one child active, one inactive
-        inactive = [l for l in tree.leaves() if l.stats is not None]
+        inactive = [l for l in leaves(tree) if l.stats is not None]
         assert len(inactive) == 1
         lo, hi = leaf_cells(tree)[inactive[0].node_id][0]
         x = ((lo + hi) / 2 if math.isfinite(lo + hi)
@@ -334,7 +339,7 @@ class TestSplit:
 
     def test_parent_candidates_discarded_and_children_fresh(self):
         tree = self._split_tree()
-        for leaf in tree.leaves():
+        for leaf in leaves(tree):
             assert leaf.candidate_splits == []
 
     def test_routing_after_split(self):
@@ -344,15 +349,13 @@ class TestSplit:
 
 
 class TestPrediction:
-    def test_posterior_normalization(self):
+    def test_predicts_majority_class(self):
         tree = new_tree(D=2, C=3)
         set_est(tree.nodes[0], [3, 5, 2])
-        assert tree.predict_posterior((0.0, 0.0)) == [0.3, 0.5, 0.2]
         assert tree.predict_class((0.0, 0.0)) == 1
 
     def test_empty_leaf_uniform_and_class_zero(self):
         tree = new_tree(D=2, C=4)
-        assert tree.predict_posterior((0.0, 0.0)) == [0.25] * 4
         assert tree.predict_class((0.0, 0.0)) == 0
 
     def test_tie_breaks_to_smaller_index(self):
@@ -360,7 +363,7 @@ class TestPrediction:
         set_est(tree.nodes[0], [4, 4])
         assert tree.predict_class((0.0, 0.0)) == 0
         set_est(tree.nodes[0], [0, 4])
-        assert tree.predict_posterior((0.0, 0.0)) == [0.0, 1.0]
+        assert tree.predict_class((0.0, 0.0)) == 1
 
 
 class TestTinyTrace:
@@ -375,7 +378,7 @@ class TestTinyTrace:
                              beta_multiplier=p["beta_multiplier"])
         tree = OnlineTree(params, doc["n_features"], doc["n_classes"],
                           RngStream(0))
-        splits = drive(tree, stream)
+        splits, _ = drive(tree, stream)
         return doc, tree, splits
 
     def test_split_times_thresholds_depths(self):
@@ -403,7 +406,7 @@ class TestTinyTrace:
 class TestStreamIsolation:
     def _sums(self, tree):
         est = struct = 0
-        for leaf in tree.leaves():
+        for leaf in leaves(tree):
             assert leaf.n_est == sum(leaf.est)
             est += leaf.n_est
             for s in leaf.candidate_splits:
@@ -421,7 +424,8 @@ class TestStreamIsolation:
             leaf = tree.route(x)
             n_cand_containing = sum(1 for _ in leaf.candidate_splits)
             t += 1
-            rec = tree.update(x, y, tag, t)
+            tree.update(x, y, tag, t)
+            split_made = bool(tree.drain_events()[0])
             est1, struct1 = self._sums(tree)
             if tag is SKIP:
                 assert (est1, struct1) == (est0, struct0)
@@ -432,7 +436,7 @@ class TestStreamIsolation:
                 # structure arrivals never raise estimation mass; splits
                 # discard the unsplit candidates' estimation counts
                 assert est1 <= est0
-                if rec is None:
+                if not split_made:
                     assert est1 == est0
 
 
@@ -498,17 +502,15 @@ class TestSerialization:
             stream = synthetic_stream(31, 1500)
             tree = new_tree(params, seed=77)
             drive(tree, stream[:500])
-            tree.drain_events()
             doc = json.loads(json.dumps(tree.to_doc(), allow_nan=False))
             clone = OnlineTree.from_doc(doc, params)
             assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
             assert clone.split_count == tree.split_count == sum(
                 type(n) is InternalNode for n in tree.nodes)
-            drive(tree, stream[500:], t0=500)
-            drive(clone, stream[500:], t0=500)
+            splits, activations = drive(tree, stream[500:], t0=500)
+            assert drive(clone, stream[500:], t0=500) == \
+                (splits, activations)
             assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
-            splits, activations = tree.drain_events()
-            assert clone.drain_events() == (splits, activations)
             assert splits
             assert bool(activations) == (capacity is not None)
             # cells are derived from the restored split nodes
