@@ -69,19 +69,11 @@ def clip_box_from_points(points, margin: float = 0.1):
     """Axis-aligned bounding box of the points, expanded by `margin`."""
     if not points:
         raise ValueError("no points for clip box")
-    dim = len(points[0].x)
-    lo = [math.inf] * dim
-    hi = [-math.inf] * dim
-    for p in points:
-        for d, v in enumerate(p.x):
-            if v < lo[d]:
-                lo[d] = v
-            if v > hi[d]:
-                hi[d] = v
     box = []
-    for d in range(dim):
-        pad = margin * (hi[d] - lo[d])
-        box.append((lo[d] - pad, hi[d] + pad))
+    for col in zip(*(p.x for p in points)):
+        lo, hi = min(col), max(col)
+        pad = margin * (hi - lo)
+        box.append((lo - pad, hi + pad))
     return box
 
 
@@ -140,7 +132,12 @@ def _read_csv(path: pathlib.Path, columns) -> list[dict]:
         if reader.fieldnames != columns:
             raise MalformedArtifacts(f"{path.name}: columns are not "
                                      f"{','.join(columns)}")
-        return list(reader)
+        rows = list(reader)
+    # DictReader puts extra cells under the key None and fills missing ones
+    if any(None in row or None in row.values() for row in rows):
+        raise MalformedArtifacts(f"{path.name}: a row does not have "
+                                 f"{len(columns)} cells")
+    return rows
 
 
 def load_run_artifacts(run_dir):

@@ -7,6 +7,8 @@ updated in any order with bit-identical results.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import gzip
 import io
 import json
@@ -16,7 +18,7 @@ from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream,
 from orf.tree import OnlineTree
 
 FOREST_FORMAT = "orf-forest"
-FOREST_VERSION = 2  # the only layout `from_doc` reads
+FOREST_VERSION = 3  # the only layout `from_doc` reads
 
 
 class OnlineForest:
@@ -98,16 +100,19 @@ class OnlineForest:
 
     def to_bytes(self) -> bytes:
         """Canonical gzip-compressed JSON; equal forests give equal bytes."""
-        text = json.dumps(self.to_doc(), separators=(",", ":"),
-                          allow_nan=False)
+        with _gc_paused():
+            text = json.dumps(self.to_doc(), separators=(",", ":"),
+                              allow_nan=False)
         buf = io.BytesIO()
-        with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as zf:
+        # GzipFile, not gzip.compress: its OS byte is ff on every Python
+        with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=6,
+                           mtime=0) as zf:
             zf.write(text.encode())
         return buf.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "OnlineForest":
-        with gzip.GzipFile(fileobj=io.BytesIO(blob), mode="rb") as zf:
+        with _gc_paused(), gzip.GzipFile(fileobj=io.BytesIO(blob)) as zf:
             return cls.from_doc(json.loads(zf.read().decode()))
 
     def save(self, path) -> None:
@@ -117,3 +122,15 @@ class OnlineForest:
     def load(cls, path) -> "OnlineForest":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """No cyclic GC: a document has no cycles, and a pass walks the forest."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

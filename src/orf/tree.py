@@ -321,7 +321,7 @@ class OnlineTree:
     # -- serialization ------------------------------------------------------
 
     def to_doc(self) -> dict:
-        """The tree's state; the forest document carries the version."""
+        """A snapshot of the tree; the forest document carries the version."""
         nodes = []
         for node in self.nodes:
             if type(node) is InternalNode:
@@ -330,20 +330,16 @@ class OnlineTree:
                               "left": node.left, "right": node.right})
             else:
                 doc = {"kind": "leaf", "depth": node.depth,
-                       "est": node.est,
-                       "dims": node.candidate_dims,
+                       "est": node.est[:],
+                       "dims": node.candidate_dims[:],
                        "active": node.stats is None,
                        "created_at": node.created_at,
-                       "cands": [{"dim": s.dim, "thr": s.threshold,
-                                  "ls": s.ls, "rs": s.rs,
-                                  "le": s.le, "re": s.re}
-                                 for s in node.candidate_splits]}
+                       "cands": [[s.dim, s.threshold, *s.ls, *s.rs, *s.le,
+                                  *s.re] for s in node.candidate_splits]}
                 if node.stats is not None:
-                    doc["stats"] = {
-                        "n_est_in_leaf": node.stats.n_est_in_leaf,
-                        "n_errors": node.stats.n_errors,
-                        "est_tree_at_creation":
-                            node.stats.est_tree_at_creation}
+                    st = node.stats
+                    doc["stats"] = [st.n_est_in_leaf, st.n_errors,
+                                    st.est_tree_at_creation]
                 nodes.append(doc)
         return {"n_features": self.n_features,
                 "n_classes": self.n_classes,
@@ -356,7 +352,8 @@ class OnlineTree:
         tree = cls(params, doc["n_features"], doc["n_classes"],
                    RngStream.from_state(doc["rng"]), _empty=True)
         tree.total_est_seen = doc["total_est_seen"]
-        n_classes = doc["n_classes"]
+        c = doc["n_classes"]
+        ls, rs, le, re = (slice(2 + k * c, 2 + k * c + c) for k in range(4))
         for node_id, nd in enumerate(doc["nodes"]):
             if nd["kind"] == "split":
                 tree.nodes.append(InternalNode(nd["dim"], nd["threshold"],
@@ -369,16 +366,20 @@ class OnlineTree:
                                  f"exactly when it has no \"stats\"")
             leaf = Leaf(node_id, nd["depth"], list(nd["est"]),
                         sum(nd["est"]), list(nd["dims"]), nd["created_at"])
-            for cd in nd["cands"]:
-                s = CandidateSplit(cd["dim"], cd["thr"], n_classes)
-                s.ls, s.rs = list(cd["ls"]), list(cd["rs"])
-                s.le, s.re = list(cd["le"]), list(cd["re"])
+            for row in nd["cands"]:
+                if type(row) is not list or len(row) != 2 + 4 * c:
+                    raise ValueError(f"node {node_id}: a candidate row is not "
+                                     f"a list of {2 + 4 * c}")
+                s = CandidateSplit(row[0], row[1], 0)  # counts from the row
+                s.ls, s.rs, s.le, s.re = row[ls], row[rs], row[le], row[re]
                 s.nle, s.nre = sum(s.le), sum(s.re)
                 leaf.candidate_splits.append(s)
             if active:
                 tree.fringe.active_ids.add(node_id)
             else:
-                leaf.stats = InactiveLeafStats(**nd["stats"])
+                if type(nd["stats"]) is not list or len(nd["stats"]) != 3:
+                    raise ValueError(f'node {node_id}: "stats" not a triple')
+                leaf.stats = InactiveLeafStats(*nd["stats"])
                 tree.fringe.inactive_ids.add(node_id)
             tree.nodes.append(leaf)
         return tree

@@ -20,6 +20,13 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 MOG_SPEC = str(REPO / "configs" / "mog5.json")
 
 
+def first_row(text, edit):
+    """The CSV text with its first data row replaced by edit(row)."""
+    lines = text.split("\n")
+    lines[1] = edit(lines[1])
+    return "\n".join(lines)
+
+
 def tiny_config_doc(**over):
     doc = {
         "hyperparams": {
@@ -208,8 +215,14 @@ class TestCli:
             ",".join(c for i, c in enumerate(line.split(","))
                      if i != SPLITS_COLUMNS.index("left_est"))
             for line in text.split("\n")), "splits.csv: columns"),
+        ("splits.csv", lambda text: first_row(text, lambda r: r + ",999"),
+         "splits.csv: a row does not have"),
+        ("curves.csv", lambda text: first_row(
+            text, lambda r: r.rsplit(",", 1)[0]),
+         "curves.csv: a row does not have"),
     ], ids=["empty_run_json", "header_only_curves", "run_json_not_json",
-            "splits_without_left_est"])
+            "splits_without_left_est", "splits_row_with_extra_cell",
+            "curves_row_short_of_a_cell"])
     def test_diagnose_malformed_artifacts_exit_3(self, tmp_path, capsys,
                                                  name, spoil, fragment):
         cfg = write_config(tmp_path)

@@ -200,12 +200,70 @@ class TestSerialization:
                   if nd["kind"] == "leaf" and ("stats" in nd) is inactive]
         assert leaves and all(nd["active"] is not inactive for nd in leaves)
         leaves[0]["active"] = inactive
-        with pytest.raises(ValueError, match="active"):
+        with pytest.raises(ValueError, match=r'^node \d+: "active"'):
             OnlineForest.from_doc(doc)
 
-    @pytest.mark.parametrize("version", [1, 3, None])
+    @pytest.mark.parametrize("version", [1, 2, 4, None])
     def test_rejects_other_versions(self, version):
         doc = grown_forest(num_trees=1).to_doc()
         doc["version"] = version
         with pytest.raises(ValueError, match="version"):
             OnlineForest.from_doc(doc)
+
+    def test_leaf_layout(self):
+        """A candidate is one row [dim, thr, *ls, *rs, *le, *re]; an
+        inactive leaf's stats are [n_est_in_leaf, n_errors,
+        est_tree_at_creation]."""
+        tree = grown_forest(num_trees=1, n=600, fringe_capacity=3).trees[0]
+        nodes = tree.to_doc()["nodes"]
+        leaves_seen = inactive_seen = 0
+        for leaf in leaves(tree):
+            nd = nodes[leaf.node_id]
+            assert nd["cands"] == [[s.dim, s.threshold, *s.ls, *s.rs, *s.le,
+                                    *s.re] for s in leaf.candidate_splits]
+            leaves_seen += bool(nd["cands"])
+            if leaf.stats is not None:
+                st = leaf.stats
+                assert nd["stats"] == [st.n_est_in_leaf, st.n_errors,
+                                       st.est_tree_at_creation]
+                inactive_seen += 1
+        assert leaves_seen and inactive_seen
+
+    @pytest.mark.parametrize("n", [0, 600])
+    def test_to_doc_is_a_snapshot(self, n):
+        """Neither training the forest nor training a forest loaded from
+        the document changes a document already taken."""
+        forest = grown_forest(num_trees=2, n=n, fringe_capacity=3)
+        doc = forest.to_doc()
+        text = json.dumps(doc)
+        clone = OnlineForest.from_doc(doc)
+        more = points_from_stream(synthetic_stream(8, 300))
+        forest.update_stream(more)
+        clone.update_stream(more)
+        assert json.dumps(forest.to_doc()) != text
+        assert json.dumps(doc) == text
+
+    @pytest.mark.parametrize("key, spoil", [
+        ("cands", lambda cands: [cands[0] + [0], *cands[1:]]),
+        ("cands", lambda cands: [*cands[:-1], cands[-1][:-1]]),
+        ("stats", lambda stats: stats + [0]),
+        ("stats", lambda stats: stats[:-1]),
+        ("stats", lambda stats: dict(zip("abc", stats))),
+    ], ids=["long_row", "short_row", "long_stats", "short_stats",
+            "stats_object"])
+    def test_rejects_malformed_leaf(self, key, spoil):
+        """Wrong lengths, and a v2-style stats object of three keys."""
+        doc = grown_forest(num_trees=1, n=600, fringe_capacity=3).to_doc()
+        node_id, nd = next((i, nd) for i, nd in
+                           enumerate(doc["trees"][0]["nodes"]) if nd.get(key))
+        nd[key] = spoil(nd[key])
+        with pytest.raises(ValueError, match=f"^node {node_id}: "):
+            OnlineForest.from_doc(doc)
+
+    def test_gzip_header(self):
+        """GzipFile's header: magic, deflate, mtime 0 and OS byte ff (255,
+        unknown) on every Python; gzip.compress writes 03 from 3.11 on."""
+        blob = grown_forest(num_trees=1).to_bytes()
+        assert blob[:3] == b"\x1f\x8b\x08"
+        assert blob[4:8] == b"\x00\x00\x00\x00"
+        assert blob[9] == 0xFF
