@@ -11,7 +11,7 @@ import enum
 import math
 import os
 import pathlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -55,6 +55,73 @@ class LabeledPoint:
             raise ValueError(f"label {self.y} outside [0, {n_classes})")
 
 
+def is_int(v) -> bool:
+    """A JSON integer; bool is an int subclass and never passes."""
+    return type(v) is int
+
+
+_FLOAT_MAX = 1.7976931348623157e308  # the largest finite float
+
+
+def is_number(v) -> bool:
+    """A finite JSON number: an int or a float (never a bool) that a float
+    can hold; NaN fails the comparison."""
+    return type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+
+
+# field type -> (predicate, one value, several), for `decode`
+_RULES = {"int": (is_int, "an integer", "integers"),
+          "float": (is_number, "a finite number", "finite numbers"),
+          "str": (lambda v: type(v) is str, "a string", "strings")}
+
+
+def decode(cls, doc, path: str = "", **convert):
+    """The one JSON-object decoder: the dataclass `cls` built from `doc`.
+
+    The keys are cls's fields (or `metadata["json"]`); a field without a
+    default is required. A value must match its field's type: `int` is a
+    JSON integer, never a bool, `float` a finite number, `X | None` also
+    takes null and `tuple[X, ...]` is a list of X. `convert[name]` then
+    decodes the field (each entry, for a tuple): a dataclass, or a function
+    of (value, key). `path` prefixes the keys errors name.
+    """
+    if type(doc) is not dict:
+        raise ValueError(f"{path[:-1] or 'the document'} is not a JSON object")
+    by_key = {f.metadata.get("json", f.name): f for f in fields(cls)}
+    unknown = doc.keys() - by_key.keys()
+    if unknown:
+        raise ValueError(f"unknown keys: {sorted(path + k for k in unknown)}")
+    missing = [path + k for k, f in by_key.items()
+               if k not in doc and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing keys: {missing}")
+    return cls(**{f.name: _value(f.type, doc[k], path + k,
+                                 convert.get(f.name))
+                  for k, f in by_key.items() if k in doc})
+
+
+def _value(kind: str, v, key: str, convert):
+    """`v` checked against the field type `kind`; a list becomes a tuple."""
+    if v is None and kind.endswith(" | None"):
+        return None
+    kind = kind.removesuffix(" | None")
+    if kind.startswith("tuple["):
+        item = kind[len("tuple["):-len(", ...]")]
+        check, _, many = _RULES.get(item, (None, None, "objects"))
+        if type(v) is not list:
+            raise ValueError(f"{key} must be a list of {many}, got {v!r}")
+        bad = [x for x in v if check and not check(x)]
+        if bad:
+            raise ValueError(f"{key} entries must be {many}, got {bad[0]!r}")
+        return tuple(_value(item, x, f"{key}[{i}]", convert)
+                     for i, x in enumerate(v))
+    if kind in _RULES and not _RULES[kind][0](v):
+        raise ValueError(f"{key} must be {_RULES[kind][1]}, got {v!r}")
+    if isinstance(convert, type):
+        return decode(convert, v, key + ".")
+    return v if convert is None else convert(v, key)
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Forest-wide knobs. `lam` serializes under the JSON key "lambda".
@@ -64,7 +131,7 @@ class HyperParams:
     """
 
     num_trees: int
-    lam: float
+    lam: float = field(metadata={"json": "lambda"})
     m: int
     tau: float
     alpha_base: float
@@ -76,64 +143,32 @@ class HyperParams:
     fringe_capacity: int | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            # exact types: bool is an int subclass and must not pass
-            if f.name in _INT_FIELDS:
-                if type(v) is not int and not (
-                        v is None and f.name == "fringe_capacity"):
-                    raise ValueError(
-                        f"{_JSON_KEYS[f.name]} must be an integer, got {v!r}")
-            elif type(v) not in (int, float) or not math.isfinite(v):
-                raise ValueError(
-                    f"{_JSON_KEYS[f.name]} must be a finite number, got {v!r}")
-        if self.num_trees < 1:
-            raise ValueError("num_trees must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
-        if self.alpha_base <= 0:
-            raise ValueError("alpha_base must be > 0")
-        if self.alpha_growth <= 1:
-            raise ValueError("alpha_growth must be > 1")
-        if self.beta_multiplier < 1:
-            raise ValueError("beta_multiplier must be >= 1")
-        if not 0 < self.p_structure < 1:
-            raise ValueError("p_structure must be in (0, 1)")
-        if not 0 <= self.p_skip < 1:
-            raise ValueError("p_skip must be in [0, 1)")
-        if self.p_structure + self.p_skip >= 1:
-            raise ValueError("p_structure + p_skip must be < 1")
-        if self.fringe_capacity is not None and self.fringe_capacity < 1:
-            raise ValueError("fringe_capacity must be >= 1 or null")
-        if not -(2 ** 63) <= self.master_seed < 2 ** 64:
-            raise ValueError("master_seed must fit in 64 bits")
+        for holds, rule in (
+                (self.num_trees >= 1, "num_trees must be >= 1"),
+                (self.lam >= 0, "lambda must be >= 0"),
+                (self.m >= 1, "m must be >= 1"),
+                (self.tau >= 0, "tau must be >= 0"),
+                (self.alpha_base > 0, "alpha_base must be > 0"),
+                (self.alpha_growth > 1, "alpha_growth must be > 1"),
+                (self.beta_multiplier >= 1, "beta_multiplier must be >= 1"),
+                (0 < self.p_structure < 1, "p_structure must be in (0, 1)"),
+                (0 <= self.p_skip < 1, "p_skip must be in [0, 1)"),
+                (self.p_structure + self.p_skip < 1,
+                 "p_structure + p_skip must be < 1"),
+                (self.fringe_capacity is None or self.fringe_capacity >= 1,
+                 "fringe_capacity must be >= 1 or null"),
+                (-(2 ** 63) <= self.master_seed < 2 ** 64,
+                 "master_seed must fit in 64 bits")):
+            if not holds:
+                raise ValueError(rule)
 
     def to_json(self) -> dict:
-        d = {}
-        for f in fields(self):
-            d[_JSON_KEYS[f.name]] = getattr(self, f.name)
-        return d
+        return {f.metadata.get("json", f.name): getattr(self, f.name)
+                for f in fields(self)}
 
     @classmethod
     def from_json(cls, d: dict) -> "HyperParams":
-        unknown = set(d) - set(_JSON_KEYS.values())
-        if unknown:
-            raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
-        kwargs = {}
-        for f in fields(cls):
-            key = _JSON_KEYS[f.name]
-            if key in d:
-                kwargs[f.name] = d[key]
-        return cls(**kwargs)
-
-
-_JSON_KEYS = {f.name: ("lambda" if f.name == "lam" else f.name)
-              for f in fields(HyperParams)}
-_INT_FIELDS = {"num_trees", "m", "master_seed", "fringe_capacity"}
+        return decode(cls, d)
 
 
 def majority(counts) -> int:

@@ -7,13 +7,12 @@ posterior-argmax oracle for consistency experiments.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from orf.core import LabeledPoint, RngStream, sum_in_order
+from orf.core import LabeledPoint, RngStream, decode, sum_in_order
 
 VAR_FLOOR = 1e-12
 
@@ -81,6 +80,8 @@ def parse_libsvm(text: str) -> Dataset:
         max_index = max(max_index, prev)
         raw_labels.add(label)
         rows.append((label, pairs))
+    if max_index == 0:
+        raise ParseError("no features")
     labels = sorted(raw_labels)
     label_map = {orig: i for i, orig in enumerate(labels)}
     points = []
@@ -129,27 +130,37 @@ class MogComponent:
     label: int
 
 
+@dataclass(eq=False)
 class MixtureOfGaussians:
-    """Weighted diagonal Gaussians, each emitting a fixed class label."""
+    """Weighted diagonal Gaussians, each emitting a fixed class label. The
+    fields are the JSON spec's keys; the weights are normalized."""
 
-    def __init__(self, components: list[MogComponent], n_classes: int):
+    components: tuple[MogComponent, ...]
+    n_classes: int
+
+    def __post_init__(self):
+        components, n_classes = self.components, self.n_classes
         if not components:
             raise ValueError("need at least one component")
         total = sum_in_order(c.weight for c in components)
         if total <= 0 or any(c.weight < 0 for c in components):
             raise ValueError("weights must be nonnegative with positive sum")
         dim = len(components[0].mean)
+        if dim < 1:
+            raise ValueError("components need at least one dimension")
+        labels = {c.label for c in components}
+        if (min(labels), max(labels), len(labels)) != (0, n_classes - 1,
+                                                       n_classes):
+            raise ValueError(f"component labels must be the classes 0 to "
+                             f"{n_classes - 1}, each at least once")
         comps = []
         for c in components:
             if len(c.mean) != dim or len(c.var) != dim:
                 raise ValueError("inconsistent component dimensions")
-            if not 0 <= c.label < n_classes:
-                raise ValueError(f"component label {c.label} outside range")
             comps.append(MogComponent(
                 c.weight / total, tuple(c.mean),
                 tuple(max(v, VAR_FLOOR) for v in c.var), c.label))
         self.components = comps
-        self.n_classes = n_classes
         self.n_features = dim
         self._weights = [c.weight for c in self.components]
         # vectorized copies for the batch oracle
@@ -162,30 +173,8 @@ class MixtureOfGaussians:
 
     @classmethod
     def from_json(cls, doc: dict) -> "MixtureOfGaussians":
-        """Mixture from its JSON spec. Raises ValueError when a weight, mean
-        or variance entry is not a finite number, or a label or the class
-        count is not an integer."""
-        comps = []
-        for c in doc["components"]:
-            weight, mean, var, label = (c["weight"], list(c["mean"]),
-                                        list(c["var"]), c["label"])
-            for v in [weight, *mean, *var]:
-                # exact types: bool is an int subclass and must not pass
-                if type(v) not in (int, float) or not math.isfinite(v):
-                    raise ValueError(f"weight, mean and var entries must be "
-                                     f"finite numbers, got {v!r}")
-            if type(label) is not int:
-                raise ValueError(f"label must be an integer, got {label!r}")
-            comps.append(MogComponent(weight, tuple(mean), tuple(var), label))
-        if type(doc["n_classes"]) is not int:
-            raise ValueError(f"n_classes must be an integer, got "
-                             f"{doc['n_classes']!r}")
-        return cls(comps, doc["n_classes"])
-
-    @classmethod
-    def load(cls, path) -> "MixtureOfGaussians":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        """Mixture from its JSON spec; raises ValueError (see `decode`)."""
+        return decode(cls, doc, components=MogComponent)
 
     def sample(self, rng: RngStream, n: int) -> list[LabeledPoint]:
         if n < 1:
@@ -207,7 +196,7 @@ class MixtureOfGaussians:
         scores = np.full((X.shape[0], self.n_classes), -np.inf)
         for k in range(self.n_classes):
             mask = self._labels == k
-            if not mask.any() or not np.isfinite(self._log_w[mask]).any():
+            if not np.isfinite(self._log_w[mask]).any():
                 continue
             block = comp_log[:, mask]
             peak = block.max(axis=1)

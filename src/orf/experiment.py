@@ -12,14 +12,13 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import pathlib
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 from orf.core import (RESERVED_CHILD_INDICES, HyperParams,
-                      InvariantViolation, RngStream, split_budget,
+                      InvariantViolation, RngStream, decode, split_budget,
                       sum_in_order, write_atomic)
 from orf.data import (Dataset, MixtureOfGaussians, ParseError, align_pair,
                       parse_libsvm, stream_schedule)
@@ -40,7 +39,7 @@ class DataError(ValueError):
 @dataclass(frozen=True)
 class MogSource:
     spec: str
-    test_points: int
+    test_points: int = 5000
 
 
 @dataclass(frozen=True)
@@ -62,113 +61,73 @@ class ExperimentConfig:
     clip_margin: float = 0.1
 
     def __post_init__(self):
-        # exact types: bool is an int subclass and must not pass
-        counts = {"runs": self.runs, "passes": self.passes,
-                  "probe_points": self.probe_points,
-                  "clip_sample": self.clip_sample}
-        if isinstance(self.data, MogSource):
-            counts["test_points"] = self.data.test_points
-        for name, v in counts.items():
-            if type(v) is not int:
-                raise ConfigError(f"{name} must be an integer, got {v!r}")
-        for c in self.checkpoints:
-            if type(c) is not int:
-                raise ConfigError(f"checkpoints must be integers, got {c!r}")
-        if type(self.clip_margin) not in (int, float) \
-                or not math.isfinite(self.clip_margin):
-            raise ConfigError(f"clip_margin must be a finite number, got "
-                              f"{self.clip_margin!r}")
-        if not self.checkpoints:
-            raise ConfigError("checkpoints must be nonempty")
-        if any(c <= 0 for c in self.checkpoints):
-            raise ConfigError("checkpoints must be positive")
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
-            raise ConfigError("checkpoints must be strictly increasing")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
-        if self.hyperparams.master_seed + self.runs > 2 ** 64:
-            raise ConfigError("master_seed + runs - 1 must fit in 64 bits")
-        if self.passes < 1:
-            raise ConfigError("passes must be >= 1")
-        if isinstance(self.data, MogSource):
-            if self.passes != 1:
-                raise ConfigError("passes only applies to libsvm data")
-            if self.data.test_points < 1:
-                raise ConfigError("test_points must be >= 1")
-        if self.probe_points < 1 or self.clip_sample < 1:
-            raise ConfigError("probe_points and clip_sample must be >= 1")
-        if self.clip_margin < 0:
-            raise ConfigError("clip_margin must be >= 0")
+        cps, mog = self.checkpoints, isinstance(self.data, MogSource)
+        for holds, rule in (
+                (cps, "checkpoints must be nonempty"),
+                (all(c > 0 for c in cps), "checkpoints must be positive"),
+                (all(a < b for a, b in zip(cps, cps[1:])),
+                 "checkpoints must be strictly increasing"),
+                (self.runs >= 1, "runs must be >= 1"),
+                (self.hyperparams.master_seed + self.runs <= 2 ** 64,
+                 "master_seed + runs - 1 must fit in 64 bits"),
+                (self.passes >= 1, "passes must be >= 1"),
+                (not mog or self.passes == 1,
+                 "passes only applies to libsvm data"),
+                (not mog or self.data.test_points >= 1,
+                 "test_points must be >= 1"),
+                (self.probe_points >= 1 and self.clip_sample >= 1,
+                 "probe_points and clip_sample must be >= 1"),
+                (self.clip_margin >= 0, "clip_margin must be >= 0")):
+            if not holds:
+                raise ConfigError(rule)
 
     @classmethod
     def from_json(cls, doc: dict, base_dir=".") -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {f.name for f in fields(cls)
-                   if f.default is MISSING} - set(doc)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
         base = pathlib.Path(base_dir)
 
-        def resolve(key, p):
-            if type(p) is not str:
-                raise ConfigError(f"{key} must be a path string, got {p!r}")
+        def resolve(p, key):
             # the OS refuses a NUL byte, and a string that the file system
             # encoding cannot encode (a lone surrogate, say)
             try:
-                usable = b"\0" not in os.fsencode(p)
+                if b"\0" not in os.fsencode(p):
+                    return str(base / p)  # an absolute p stays as it is
             except UnicodeEncodeError:
-                usable = False
-            if not usable:
-                raise ConfigError(f"{key} is not a usable path: {p!r}")
-            q = pathlib.Path(p)
-            return str(q if q.is_absolute() else base / q)
+                pass
+            raise ConfigError(f"{key} is not a usable path: {p!r}")
+
+        def source(d, key):
+            kind = d.get("kind") if type(d) is dict else None
+            if kind not in ("mog", "libsvm"):
+                raise ConfigError("data.kind must be 'mog' or 'libsvm'")
+            return decode(MogSource if kind == "mog" else LibsvmSource,
+                          {k: v for k, v in d.items() if k != "kind"},
+                          key + ".", spec=resolve, train=resolve,
+                          test=resolve)
 
         try:
-            params = HyperParams.from_json(doc["hyperparams"])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"hyperparams: {exc}") from None
-        d = doc["data"]
-        kind = d.get("kind") if isinstance(d, dict) else None
-        if kind == "mog":
-            extra = set(d) - {"kind", "spec", "test_points"}
-            if extra:
-                raise ConfigError(f"unknown data keys: {sorted(extra)}")
-            source = MogSource(resolve("data.spec", d.get("spec")),
-                               d.get("test_points", 5000))
-        elif kind == "libsvm":
-            extra = set(d) - {"kind", "train", "test"}
-            if extra:
-                raise ConfigError(f"unknown data keys: {sorted(extra)}")
-            source = LibsvmSource(resolve("data.train", d.get("train")),
-                                  resolve("data.test", d.get("test")))
-        else:
-            raise ConfigError("data.kind must be 'mog' or 'libsvm'")
-        try:
-            return cls(**{**doc, "hyperparams": params, "data": source,
-                          "checkpoints": tuple(doc["checkpoints"]),
-                          "out_dir": resolve("out_dir", doc["out_dir"])})
-        except TypeError as exc:
+            return decode(cls, doc, hyperparams=HyperParams, data=source,
+                          out_dir=resolve)
+        except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        path = pathlib.Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ConfigError(f"{path}: JSON nested too deeply") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") \
-                from None
-        return cls.from_json(doc, base_dir=path.parent)
+        return cls.from_json(_read_json(path, "config file", ConfigError),
+                             base_dir=pathlib.Path(path).parent)
+
+
+def _read_json(path, what: str, error):
+    """The JSON value in file `path`, else `error` with a one-line cause."""
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply") from None
 
 
 @dataclass
@@ -183,19 +142,11 @@ class DataContext:
 def load_data(config: ExperimentConfig) -> DataContext:
     src = config.data
     if isinstance(src, MogSource):
+        doc = _read_json(src.spec, "mixture spec", DataError)
         try:
-            gen = MixtureOfGaussians.load(src.spec)
-        except FileNotFoundError:
-            raise DataError(f"mixture spec not found: {src.spec}") from None
-        except OSError as exc:
-            raise DataError(f"cannot read mixture spec {src.spec}: "
-                            f"{exc}") from None
-        except (ValueError, KeyError, TypeError) as exc:
-            # a decoding error or an entry of the wrong kind or shape
+            gen = MixtureOfGaussians.from_json(doc)
+        except ValueError as exc:
             raise DataError(f"bad mixture spec {src.spec}: {exc}") from None
-        except RecursionError:
-            raise DataError(f"bad mixture spec {src.spec}: JSON nested too "
-                            f"deeply") from None
         return DataContext(gen.n_features, gen.n_classes, mog=gen)
     try:
         train = parse_libsvm(pathlib.Path(src.train).read_text())

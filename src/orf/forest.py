@@ -14,7 +14,7 @@ import io
 import json
 
 from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream,
-                      check_features, majority, write_atomic)
+                      check_features, is_int, majority, write_atomic)
 from orf.tree import OnlineTree
 
 FOREST_FORMAT = "orf-forest"
@@ -92,6 +92,9 @@ class OnlineForest:
         if doc.get("version") != FOREST_VERSION:
             raise ValueError(f"unsupported forest format version "
                              f"{doc.get('version')!r}; regenerate the run")
+        for key in ("n_features", "n_classes", "t"):
+            if not is_int(doc[key]):
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         params = HyperParams.from_json(doc["params"])
         forest = cls(params, doc["n_features"], doc["n_classes"], _empty=True)
         forest.t = doc["t"]
@@ -112,8 +115,8 @@ class OnlineForest:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "OnlineForest":
-        with _gc_paused(), gzip.GzipFile(fileobj=io.BytesIO(blob)) as zf:
-            return cls.from_doc(json.loads(zf.read().decode()))
+        with _gc_paused():
+            return cls.from_doc(json.loads(gzip.decompress(blob)))
 
     def save(self, path) -> None:
         write_atomic(path, self.to_bytes())

@@ -62,8 +62,8 @@ class FringeState:
     def __init__(self):
         self.active_ids: set[int] = set()
         self.inactive_ids: set[int] = set()
-        # test instrumentation: called as hook(tree) right before each
-        # activation choice
+        # instrumentation, called as hook(tree) right before each
+        # activation choice: a test and the benchmark's counters set it
         self.activation_hook = None
 
     def record_estimation_arrival(self, leaf, y: int) -> None:

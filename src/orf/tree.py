@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from orf.core import HyperParams, InvariantViolation, RngStream, \
-    StreamAssignment, alpha, beta, majority
+    StreamAssignment, alpha, beta, is_int, is_number, majority
 from orf.fringe import FringeState, InactiveLeafStats
 
 class CandidateSplit:
@@ -349,11 +349,18 @@ class OnlineTree:
 
     @classmethod
     def from_doc(cls, doc: dict, params: HyperParams) -> "OnlineTree":
+        """Raises ValueError, naming the node, where an entry has the wrong
+        shape or type. The integers of a leaf and of a row are checked
+        through their sum, so true and false pass there as 1 and 0."""
+        for key in ("n_features", "n_classes", "total_est_seen"):
+            if not is_int(doc[key]):
+                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         tree = cls(params, doc["n_features"], doc["n_classes"],
                    RngStream.from_state(doc["rng"]), _empty=True)
         tree.total_est_seen = doc["total_est_seen"]
         c = doc["n_classes"]
         ls, rs, le, re = (slice(2 + k * c, 2 + k * c + c) for k in range(4))
+        new = CandidateSplit.__new__
         for node_id, nd in enumerate(doc["nodes"]):
             if nd["kind"] == "split":
                 tree.nodes.append(InternalNode(nd["dim"], nd["threshold"],
@@ -361,25 +368,39 @@ class OnlineTree:
                 continue
             active = "stats" not in nd
             if nd["active"] is not active:
-                raise ValueError(f"node {node_id}: \"active\" is "
-                                 f"{nd['active']!r}, but a leaf is active "
-                                 f"exactly when it has no \"stats\"")
-            leaf = Leaf(node_id, nd["depth"], list(nd["est"]),
-                        sum(nd["est"]), list(nd["dims"]), nd["created_at"])
+                raise ValueError(f'node {node_id}: "active" is '
+                                 f'{nd["active"]!r}; "stats" says otherwise')
+            stats = nd.get("stats", ())  # a triple on an inactive leaf
+            try:  # integers sum to an integer; a float, string or null not
+                n_est = sum(nd["est"])
+                ok = type(sum(nd["dims"], sum(stats, n_est + nd["depth"]
+                                              + nd["created_at"]))) is int
+            except TypeError:
+                ok = False
+            if not (ok and (active or type(stats) is list
+                            and len(stats) == 3)):
+                raise ValueError(f"node {node_id}: a leaf is malformed")
+            leaf = Leaf(node_id, nd["depth"], list(nd["est"]), n_est,
+                        list(nd["dims"]), nd["created_at"])
             for row in nd["cands"]:
                 if type(row) is not list or len(row) != 2 + 4 * c:
                     raise ValueError(f"node {node_id}: a candidate row is not "
                                      f"a list of {2 + 4 * c}")
-                s = CandidateSplit(row[0], row[1], 0)  # counts from the row
+                s = new(CandidateSplit)  # every slot is set from the row
+                s.dim, s.threshold = row[0], row[1]
                 s.ls, s.rs, s.le, s.re = row[ls], row[rs], row[le], row[re]
-                s.nle, s.nre = sum(s.le), sum(s.re)
+                try:  # as for the leaf, one sum over the counts
+                    s.nle, s.nre = sum(s.le), sum(s.re)
+                    ok = type(sum(s.ls, sum(s.rs, s.nle + s.nre))) is int
+                except TypeError:
+                    ok = False
+                if not (ok and type(s.dim) is int and is_number(s.threshold)):
+                    raise ValueError(f"node {node_id}: a row is mistyped")
                 leaf.candidate_splits.append(s)
             if active:
                 tree.fringe.active_ids.add(node_id)
             else:
-                if type(nd["stats"]) is not list or len(nd["stats"]) != 3:
-                    raise ValueError(f'node {node_id}: "stats" not a triple')
-                leaf.stats = InactiveLeafStats(*nd["stats"])
+                leaf.stats = InactiveLeafStats(*stats)
                 tree.fringe.inactive_ids.add(node_id)
             tree.nodes.append(leaf)
         return tree

@@ -7,6 +7,8 @@ import numpy as np
 from orf.core import HyperParams, RngStream, StreamAssignment
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+REPO = pathlib.Path(__file__).resolve().parents[1]
+MOG_SPEC = str(REPO / "configs" / "mog5.json")
 
 TAGS = {"s": StreamAssignment.STRUCTURE,
         "e": StreamAssignment.ESTIMATION,
@@ -18,6 +20,30 @@ def make_params(**over):
                 alpha_growth=1.1, beta_multiplier=1000.0, master_seed=42)
     base.update(over)
     return HyperParams(**base)
+
+
+def tiny_config_doc(**over):
+    doc = {
+        "hyperparams": {
+            "num_trees": 2, "lambda": 1.0, "m": 3, "tau": 0.001,
+            "p_structure": 0.5, "p_skip": 0.0, "alpha_base": 1.0,
+            "alpha_growth": 1.1, "beta_multiplier": 100.0,
+            "fringe_capacity": None, "master_seed": 7},
+        "data": {"kind": "mog", "spec": MOG_SPEC, "test_points": 200},
+        "checkpoints": [200, 600],
+        "runs": 1,
+        "out_dir": "out",
+        "probe_points": 32,
+        "clip_sample": 200,
+    }
+    doc.update(over)
+    return doc
+
+
+def write_config(tmp_path, **over):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(tiny_config_doc(**over)))
+    return path
 
 
 def synthetic_stream(seed, n, n_features=2, n_classes=2, p_structure=0.5,

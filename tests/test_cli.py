@@ -10,14 +10,11 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_params
+from conftest import MOG_SPEC, make_params, tiny_config_doc, write_config
 from orf.cli import main
 from orf.evaluation import SPLITS_COLUMNS
 from orf.experiment import (ConfigError, DataError, ExperimentConfig,
                             LibsvmSource, MogSource, load_data, run_all)
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
-MOG_SPEC = str(REPO / "configs" / "mog5.json")
 
 
 def first_row(text, edit):
@@ -27,28 +24,22 @@ def first_row(text, edit):
     return "\n".join(lines)
 
 
-def tiny_config_doc(**over):
-    doc = {
-        "hyperparams": {
-            "num_trees": 2, "lambda": 1.0, "m": 3, "tau": 0.001,
-            "p_structure": 0.5, "p_skip": 0.0, "alpha_base": 1.0,
-            "alpha_growth": 1.1, "beta_multiplier": 100.0,
-            "fringe_capacity": None, "master_seed": 7},
-        "data": {"kind": "mog", "spec": MOG_SPEC, "test_points": 200},
-        "checkpoints": [200, 600],
-        "runs": 1,
-        "out_dir": "out",
-        "probe_points": 32,
-        "clip_sample": 200,
-    }
-    doc.update(over)
-    return doc
+# Every JSON type a typed field must refuse: a bool, a float and a string
+# for an integer; a bool, a string and null for a number.
+INT_VALUES = (True, 1.5, "1")
+NUMBER_VALUES = (True, "1", None)
 
 
-def write_config(tmp_path, **over):
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps(tiny_config_doc(**over)))
-    return path
+def with_type_cases(cases, ints=(), numbers=(), wrap=lambda v: v):
+    """`cases`, then (key, wrap(value)) for each of INT_VALUES on each key
+    in `ints` and each of NUMBER_VALUES on each key in `numbers`, where
+    `cases` does not hold that pair already."""
+    have = {(key, repr(value)) for key, value in cases}
+    extra = [(key, wrap(v)) for keys, values in ((ints, INT_VALUES),
+                                                 (numbers, NUMBER_VALUES))
+             for key in keys for v in values]
+    return cases + [(key, value) for key, value in extra
+                    if (key, repr(value)) not in have]
 
 
 class TestExperimentConfig:
@@ -73,7 +64,8 @@ class TestExperimentConfig:
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"runs": 1}))
-        with pytest.raises(ConfigError, match="missing config keys"):
+        with pytest.raises(ConfigError, match=r"missing keys: \['hyperparams'"
+                           r", 'data', 'checkpoints', 'out_dir'\]"):
             ExperimentConfig.load(path)
 
     def test_bad_json(self, tmp_path):
@@ -245,13 +237,18 @@ class TestCli:
         bad.write_text("1 5:1 2:2\n")
         assert main(["parse-check", str(bad)]) == 1
         assert "line 1" in capsys.readouterr().err
+        bad.write_text("1\n-1\n")
+        assert main(["parse-check", str(bad)]) == 1
+        assert "no features" in capsys.readouterr().err
         assert main(["parse-check", str(tmp_path / "none")]) == 3
 
-    @pytest.mark.parametrize("key, value", [
+    @pytest.mark.parametrize("key, value", with_type_cases([
         ("num_trees", True), ("m", 2.5), ("fringe_capacity", 1.5),
         ("tau", float("nan")), ("alpha_growth", float("inf")),
         ("master_seed", 1.7),
-    ])
+    ], ints=("num_trees", "m", "master_seed", "fringe_capacity"),
+        numbers=("lambda", "tau", "p_structure", "p_skip", "alpha_base",
+                 "alpha_growth", "beta_multiplier")))
     def test_train_mistyped_hyperparam_exit_2(self, tmp_path, capsys, key,
                                               value):
         doc = tiny_config_doc()
@@ -262,13 +259,15 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [
+    @pytest.mark.parametrize("key, value", with_type_cases(with_type_cases([
         ("runs", 1.5), ("runs", True), ("passes", 1.0),
         ("probe_points", 2.5), ("clip_sample", "200"),
         ("checkpoints", [200, 600.5]), ("checkpoints", [True, 600]),
         ("clip_margin", "0.1"), ("clip_margin", float("inf")),
         ("clip_margin", False),
-    ])
+    ], ints=("runs", "passes", "probe_points", "clip_sample"),
+        numbers=("clip_margin",)),
+        ints=("checkpoints",), wrap=lambda v: [v, 600]))
     def test_train_mistyped_config_exit_2(self, tmp_path, capsys, key,
                                           value):
         cfg = tmp_path / "exp.json"
@@ -277,7 +276,7 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", [2.5, True, "200"])
+    @pytest.mark.parametrize("value", [2.5, True, "200", 1.5, "1"])
     def test_train_mistyped_test_points_exit_2(self, tmp_path, capsys,
                                                value):
         doc = tiny_config_doc()
@@ -361,15 +360,28 @@ class TestCli:
         ("spec_mean_is_a_string", 3, "finite numbers"),
         ("config_is_a_directory", 2, "cannot read config file"),
         ("config_is_not_utf8", 2, "cannot read config file"),
+        ("spec_class_without_component", 3,
+         "labels must be the classes 0 to 9999999999999"),
+        ("spec_without_dimensions", 3, "at least one dimension"),
+        ("libsvm_without_features", 3, "no features"),
+        ("number_past_float_range", 2,
+         "hyperparams.tau must be a finite number"),
     ])
     def test_train_boundary_inputs_exit_codes(self, tmp_path, capsys, case,
                                               code, message):
-        """Output that cannot be written, or a spec or config that cannot
-        be read, ends in its documented exit code with a one-line message
-        instead of a traceback."""
+        """Output that cannot be written, or a spec, config or data file
+        that cannot be read or used, ends in its documented exit code with
+        a one-line message instead of a traceback."""
         spec = json.loads(pathlib.Path(MOG_SPEC).read_text())
         spec["components"][0]["mean"] = "ab"
         (tmp_path / "bad_spec.json").write_text(json.dumps(spec))
+        spec = json.loads(pathlib.Path(MOG_SPEC).read_text())
+        spec["n_classes"] = 10 ** 13
+        (tmp_path / "huge_spec.json").write_text(json.dumps(spec))
+        (tmp_path / "flat_spec.json").write_text(json.dumps(
+            {"n_classes": 1, "components": [
+                {"weight": 1.0, "mean": [], "var": [], "label": 0}]}))
+        (tmp_path / "labels_only").write_text("1\n2\n")
         (tmp_path / "a_file").write_text("")
         over = {
             "out_dir_under_dev_null": {"out_dir": "/dev/null/x"},
@@ -377,8 +389,18 @@ class TestCli:
             "spec_is_a_directory": {"data": {"kind": "mog", "spec": "."}},
             "spec_mean_is_a_string": {
                 "data": {"kind": "mog", "spec": "bad_spec.json"}},
+            "spec_class_without_component": {
+                "data": {"kind": "mog", "spec": "huge_spec.json"}},
+            "spec_without_dimensions": {
+                "data": {"kind": "mog", "spec": "flat_spec.json"}},
+            "libsvm_without_features": {
+                "data": {"kind": "libsvm", "train": "labels_only",
+                         "test": "labels_only"}},
         }.get(case, {})
         cfg = write_config(tmp_path, **over)
+        if case == "number_past_float_range":
+            cfg.write_text(cfg.read_text().replace(
+                '"tau": 0.001', '"tau": 1' + "0" * 400))
         if case == "config_is_a_directory":
             cfg = tmp_path
         elif case == "config_is_not_utf8":

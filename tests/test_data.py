@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import write_config
+from orf.cli import main
 from orf.core import RngStream
 from orf.data import (Dataset, MixtureOfGaussians, MogComponent, ParseError,
                       align_pair, parse_libsvm, stream_schedule)
@@ -68,6 +71,7 @@ class TestParser:
         ("1 0:1", "not strictly increasing"),
         ("nan 1:1", "non-finite label"),
         ("1 1:inf", "non-finite value"),
+        ("1\n2", "no features"),
     ])
     def test_rejects_malformed(self, text, fragment):
         with pytest.raises(ParseError, match=fragment):
@@ -117,27 +121,51 @@ def two_component_line():
 
 
 class TestMixture:
+    # explicit ids keep the names these two cases have always had
     @pytest.mark.parametrize("path, value, fragment", [
-        ("weight", "0.5", "finite numbers"),
-        ("weight", True, "finite numbers"),
+        pytest.param("weight", "0.5",
+                     "components[0].weight must be a finite number",
+                     id="weight-0.5-finite numbers"),
+        pytest.param("weight", True,
+                     "components[0].weight must be a finite number",
+                     id="weight-True-finite numbers"),
         ("mean", "ab", "finite numbers"),
         ("mean", [0.0, None], "finite numbers"),
         ("var", [1.0, math.inf], "finite numbers"),
         ("label", 1.0, "label must be an integer"),
         ("label", False, "label must be an integer"),
         ("n_classes", "2", "n_classes must be an integer"),
+        ("weight", "1", "components[0].weight must be a finite number"),
+        ("weight", None, "components[0].weight must be a finite number"),
+        ("mean", [True, 0.0], "components[0].mean entries must be finite"),
+        ("mean", ["1", 0.0], "components[0].mean entries must be finite"),
+        ("var", [True, 1.0], "components[0].var entries must be finite"),
+        ("var", ["1", 1.0], "components[0].var entries must be finite"),
+        ("var", [None, 1.0], "components[0].var entries must be finite"),
+        ("label", True, "components[0].label must be an integer"),
+        ("label", 1.5, "components[0].label must be an integer"),
+        ("label", "1", "components[0].label must be an integer"),
+        ("n_classes", True, "n_classes must be an integer"),
+        ("n_classes", 1.5, "n_classes must be an integer"),
     ])
-    def test_from_json_rejects_mistyped_entries(self, path, value,
-                                                fragment):
-        doc = {"n_classes": 2, "components": [
+    def test_from_json_rejects_mistyped_entries(self, tmp_path, capsys, path,
+                                                value, fragment):
+        """A mistyped spec entry makes `orf train` exit 3 (data error)
+        with a message naming the entry."""
+        doc = {"n_classes": 1, "components": [
             {"weight": 1.0, "mean": [0.0, 0.0], "var": [1.0, 1.0],
              "label": 0}]}
         if path == "n_classes":
             doc[path] = value
         else:
             doc["components"][0][path] = value
-        with pytest.raises(ValueError, match=fragment):
-            MixtureOfGaussians.from_json(doc)
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        cfg = write_config(tmp_path, data={"kind": "mog", "spec": "spec.json"})
+        assert main(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: bad mixture spec")
+        assert fragment in err
+        assert not (tmp_path / "out").exists()
 
     def test_weights_normalized_and_validated(self):
         gen = MixtureOfGaussians(
@@ -148,6 +176,11 @@ class TestMixture:
             MixtureOfGaussians([MogComponent(1.0, (0.0,), (1.0,), 3)], 2)
         with pytest.raises(ValueError):
             MixtureOfGaussians([MogComponent(-1.0, (0.0,), (1.0,), 0)], 1)
+        with pytest.raises(ValueError, match="0 to 9999999999999, each"):
+            MixtureOfGaussians([MogComponent(1.0, (0.0,), (1.0,), 0)],
+                               10 ** 13)
+        with pytest.raises(ValueError, match="at least one dimension"):
+            MixtureOfGaussians([MogComponent(1.0, (), (), 0)], 1)
 
     def test_degenerate_weight_and_variance(self):
         gen = MixtureOfGaussians(

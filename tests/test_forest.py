@@ -249,15 +249,38 @@ class TestSerialization:
         ("stats", lambda stats: stats + [0]),
         ("stats", lambda stats: stats[:-1]),
         ("stats", lambda stats: dict(zip("abc", stats))),
+        ("cands", lambda cands: [[*cands[0][:2], "a", *cands[0][3:]]]),
+        ("cands", lambda cands: [[*cands[0][:-1], 1.5]]),
+        ("cands", lambda cands: [[1.0, *cands[0][1:]]]),
+        ("cands", lambda cands: [[cands[0][0], math.inf, *cands[0][2:]]]),
+        ("depth", lambda depth: "a"),
+        ("created_at", lambda t: None),
+        ("est", lambda est: [1.5, *est[1:]]),
+        ("dims", lambda dims: [0.5, *dims[1:]]),
+        ("stats", lambda stats: [stats[0], "1", stats[2]]),
     ], ids=["long_row", "short_row", "long_stats", "short_stats",
-            "stats_object"])
+            "stats_object", "structure_count_a", "estimation_count_float",
+            "candidate_dim_float", "threshold_inf", "depth_a",
+            "created_at_null", "est_float", "dims_float", "stats_entry_str"])
     def test_rejects_malformed_leaf(self, key, spoil):
-        """Wrong lengths, and a v2-style stats object of three keys."""
+        """Wrong lengths, a v2-style stats object of three keys, and an
+        entry of the wrong type in a leaf or a candidate row."""
         doc = grown_forest(num_trees=1, n=600, fringe_capacity=3).to_doc()
         node_id, nd = next((i, nd) for i, nd in
                            enumerate(doc["trees"][0]["nodes"]) if nd.get(key))
         nd[key] = spoil(nd[key])
         with pytest.raises(ValueError, match=f"^node {node_id}: "):
+            OnlineForest.from_doc(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("t", "1"), ("n_features", 2.0), ("trees.n_classes", True),
+        ("trees.total_est_seen", None)])
+    def test_rejects_mistyped_counter(self, key, value):
+        doc = grown_forest(num_trees=1).to_doc()
+        part = doc["trees"][0] if key.startswith("trees.") else doc
+        part[key.removeprefix("trees.")] = value
+        with pytest.raises(ValueError, match=f"^{key.removeprefix('trees.')} "
+                                             f"must be an integer"):
             OnlineForest.from_doc(doc)
 
     def test_gzip_header(self):
