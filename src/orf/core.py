@@ -245,21 +245,15 @@ class RngStream:
     serialized position is just the bit-generator state.
     """
 
-    __slots__ = ("_entropy", "_spawn_key", "_gen")
+    __slots__ = ("_seq", "_gen")
 
-    def __init__(self, seed: int | None = None, *, _entropy=None, _spawn_key=()):
-        if seed is not None:
-            _entropy = seed & (2 ** 64 - 1)
-        if _entropy is None:
-            raise ValueError("seed required")
-        self._entropy = int(_entropy)
-        self._spawn_key = tuple(int(i) for i in _spawn_key)
-        ss = np.random.SeedSequence(entropy=self._entropy, spawn_key=self._spawn_key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+    def __init__(self, seed: int, spawn_key=()):
+        self._seq = np.random.SeedSequence(seed & (2 ** 64 - 1),
+                                           spawn_key=spawn_key)
+        self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def child(self, index: int) -> "RngStream":
-        return RngStream(_entropy=self._entropy,
-                         _spawn_key=self._spawn_key + (index,))
+        return RngStream(self._seq.entropy, self._seq.spawn_key + (index,))
 
     def uniform(self) -> float:
         return float(self._gen.random())
@@ -324,12 +318,18 @@ class RngStream:
         return [int(i) for i in self._gen.permutation(n)]
 
     def get_state(self) -> dict:
-        return {"entropy": self._entropy,
-                "spawn_key": list(self._spawn_key),
+        return {"entropy": self._seq.entropy,
+                "spawn_key": list(self._seq.spawn_key),
                 "bit_generator": self._gen.bit_generator.state}
 
     @classmethod
     def from_state(cls, state: dict) -> "RngStream":
-        rng = cls(_entropy=state["entropy"], _spawn_key=tuple(state["spawn_key"]))
+        entropy, key = state["entropy"], state["spawn_key"]
+        if not (is_int(entropy) and 0 <= entropy < 2 ** 64 and type(key) is list
+                and all(is_int(i) and i >= 0 for i in key)):
+            raise ValueError(f"rng entropy must be an integer in [0, 2**64), "
+                             f"spawn_key a list of non-negative integers, "
+                             f"got {entropy!r} and {key!r}")
+        rng = cls(entropy, key)
         rng._gen.bit_generator.state = state["bit_generator"]
         return rng

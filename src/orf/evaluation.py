@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import pathlib
 import statistics
 from dataclasses import dataclass, field, fields
@@ -77,16 +76,6 @@ def clip_box_from_points(points, margin: float = 0.1):
     return box
 
 
-def cell_diameter(extents, clip_box) -> float:
-    """Euclidean diameter of a cell, clipped to the box."""
-    acc = 0.0
-    for (lo, hi), (clo, chi) in zip(extents, clip_box):
-        edge = min(hi, chi) - max(lo, clo)
-        if edge > 0:
-            acc += edge * edge
-    return math.sqrt(acc)
-
-
 def probe_stats(forest, probes, clip_box):
     """Median clipped diameter and min/median estimation count over all
     (probe point, tree) pairs."""
@@ -94,8 +83,8 @@ def probe_stats(forest, probes, clip_box):
     est_counts = []
     for x in probes:
         for tree in forest.trees:
-            leaf, extents = tree.cell(x)
-            diams.append(cell_diameter(extents, clip_box))
+            leaf, diameter = tree.cell_diameter(x, clip_box)
+            diams.append(diameter)
             est_counts.append(leaf.n_est)
     return (statistics.median(diams), min(est_counts),
             statistics.median(est_counts))

@@ -87,18 +87,27 @@ class OnlineForest:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "OnlineForest":
-        if doc.get("format") != FOREST_FORMAT:
-            raise ValueError("not a forest document")
-        if doc.get("version") != FOREST_VERSION:
-            raise ValueError(f"unsupported forest format version "
-                             f"{doc.get('version')!r}; regenerate the run")
-        for key in ("n_features", "n_classes", "t"):
-            if not is_int(doc[key]):
-                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-        params = HyperParams.from_json(doc["params"])
-        forest = cls(params, doc["n_features"], doc["n_classes"], _empty=True)
-        forest.t = doc["t"]
-        forest.trees = [OnlineTree.from_doc(td, params) for td in doc["trees"]]
+        """Raises only ValueError; a missing key or wrong type becomes one."""
+        try:
+            if doc.get("format") != FOREST_FORMAT:
+                raise ValueError("not a forest document")
+            if doc.get("version") != FOREST_VERSION:
+                raise ValueError(f"unsupported forest format version "
+                                 f"{doc.get('version')!r}; regenerate the run")
+            for key in ("n_features", "n_classes", "t"):
+                if not is_int(doc[key]):
+                    raise ValueError(f"{key} must be an integer, "
+                                     f"got {doc[key]!r}")
+            params = HyperParams.from_json(doc["params"])
+            trees = [OnlineTree.from_doc(td, params) for td in doc["trees"]]
+        except (AttributeError, IndexError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed forest document: "
+                             f"{type(exc).__name__} {exc}") from None
+        shape = doc["n_features"], doc["n_classes"]
+        if {(tree.n_features, tree.n_classes) for tree in trees} - {shape}:
+            raise ValueError("tree n_features or n_classes is not the forest's")
+        forest = cls(params, *shape, _empty=True)
+        forest.t, forest.trees = doc["t"], trees
         return forest
 
     def to_bytes(self) -> bytes:

@@ -12,8 +12,8 @@ best such candidate's information gain exceeds tau or the leaf itself holds
 beta(d) or more estimation points.
 
 Leaves and candidates count classes the same way, in a flat per-class
-list with its total beside it. Leaves store no geometry: a leaf's cell is
-derived by walking the split nodes from the root (`OnlineTree.cell`).
+list with its total beside it. Leaves store no geometry: a probe's cell is
+walked from the root when it is measured (`OnlineTree.cell_diameter`).
 """
 
 from __future__ import annotations
@@ -92,33 +92,11 @@ class SplitRecord:
     right_est: int
 
 
-# Entropy terms for counts below _TABLE_SIZE, built from the very
-# expressions a direct loop would evaluate, so lookups are bit-identical.
+# Entropy terms for counts below _TABLE_SIZE, from the very expressions a
+# direct loop evaluates (so bit-identical); larger ones are made per call.
 _TABLE_SIZE = 1024
 _XLOG2X = (0.0,) + tuple(c * math.log2(c) for c in range(1, _TABLE_SIZE))
 _LOG2 = (0.0,) + tuple(math.log2(n) for n in range(1, _TABLE_SIZE))
-
-
-class _Direct:
-    """Stand-in for a table past its end: evaluates the entry on demand."""
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, c):
-        return self.fn(c) if c else 0.0
-
-
-_DIRECT_XLOG2X = _Direct(lambda c: c * math.log2(c))
-_DIRECT_LOG2 = _Direct(math.log2)
-
-
-def _tables(n: int):
-    """c·log2(c) and log2(c) lookups valid for every count c <= n."""
-    if n < _TABLE_SIZE:
-        return _XLOG2X, _LOG2
-    return _DIRECT_XLOG2X, _DIRECT_LOG2
 
 
 def information_gain(s: CandidateSplit) -> float:
@@ -139,7 +117,11 @@ def information_gain(s: CandidateSplit) -> float:
     if l_pure and r_pure and (nl == 0 or nr == 0
                               or ls.index(nl) == rs.index(nr)):
         return 0.0          # the parent is pure, so every H is zero
-    xlog2x, log2 = _tables(n)
+    xlog2x, log2 = _XLOG2X, _LOG2
+    if n >= _TABLE_SIZE:  # past the tables: the same terms for these counts
+        xlog2x = {c: c * math.log2(c) if c else 0.0
+                  for a, b in zip(ls, rs) for c in (a, b, a + b)}
+        log2 = {c: math.log2(c) for c in (n, nl, nr) if c}
     acc_p = acc_l = acc_r = 0.0
     for a, b in zip(ls, rs):
         acc_p += xlog2x[a + b]
@@ -233,11 +215,9 @@ class OnlineTree:
                          else node.right]
         return node
 
-    def cell(self, x) -> tuple[Leaf, list[tuple[float, float]]]:
-        """The leaf at x and its cell, one (lo, hi] interval per feature.
-
-        Walks the same path as `route`, narrowing the cell at every split.
-        """
+    def cell_diameter(self, x, box) -> tuple[Leaf, float]:
+        """The leaf at x, on the path `route` takes, and the Euclidean
+        diameter of its cell clipped to `box`, a (lo, hi) pair per feature."""
         if len(x) != self.n_features:
             raise ValueError(f"expected {self.n_features} features, "
                              f"got {len(x)}")
@@ -252,7 +232,12 @@ class OnlineTree:
             else:
                 lo[node.dim] = node.threshold
                 node = nodes[node.right]
-        return node, list(zip(lo, hi))
+        acc = 0.0
+        for a, b, (clo, chi) in zip(lo, hi, box):
+            edge = min(b, chi) - max(a, clo)
+            if edge > 0:
+                acc += edge * edge
+        return node, math.sqrt(acc)
 
     def predict_class(self, x) -> int:
         return majority(self.route(x).est)
@@ -350,38 +335,51 @@ class OnlineTree:
     @classmethod
     def from_doc(cls, doc: dict, params: HyperParams) -> "OnlineTree":
         """Raises ValueError, naming the node, where an entry has the wrong
-        shape or type. The integers of a leaf and of a row are checked
-        through their sum, so true and false pass there as 1 and 0."""
+        shape, type or range or a node but the root is not one split's child.
+        Integers are checked through sums, so true and false pass as 1, 0."""
         for key in ("n_features", "n_classes", "total_est_seen"):
             if not is_int(doc[key]):
                 raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
         tree = cls(params, doc["n_features"], doc["n_classes"],
                    RngStream.from_state(doc["rng"]), _empty=True)
         tree.total_est_seen = doc["total_est_seen"]
-        c = doc["n_classes"]
+        c, nf, n = doc["n_classes"], doc["n_features"], len(doc["nodes"])
         ls, rs, le, re = (slice(2 + k * c, 2 + k * c + c) for k in range(4))
         new = CandidateSplit.__new__
+        dim_ids, left_ids = set(range(nf)), range(1, n - 1, 2)
+        is_left = bytearray(n)  # children come in pairs (left, left + 1)
         for node_id, nd in enumerate(doc["nodes"]):
             if nd["kind"] == "split":
-                tree.nodes.append(InternalNode(nd["dim"], nd["threshold"],
-                                               nd["left"], nd["right"]))
+                dim, thr, left, right = (nd["dim"], nd["threshold"],
+                                         nd["left"], nd["right"])
+                try:  # integers through their sum, as at a leaf
+                    ok = (type(dim + left + right) is int and dim in dim_ids
+                          and left in left_ids and right - left == 1
+                          and not is_left[left] and math.isfinite(thr))
+                except (TypeError, OverflowError):
+                    ok = False
+                if not ok:
+                    raise ValueError(f"node {node_id}: a split is malformed")
+                is_left[left] = 1
+                tree.nodes.append(InternalNode(dim, thr, left, right))
                 continue
             active = "stats" not in nd
             if nd["active"] is not active:
                 raise ValueError(f'node {node_id}: "active" is '
                                  f'{nd["active"]!r}; "stats" says otherwise')
-            stats = nd.get("stats", ())  # a triple on an inactive leaf
+            est, dims, stats = nd["est"], nd["dims"], nd.get("stats", ())
             try:  # integers sum to an integer; a float, string or null not
-                n_est = sum(nd["est"])
-                ok = type(sum(nd["dims"], sum(stats, n_est + nd["depth"]
-                                              + nd["created_at"]))) is int
+                n_est = sum(est)
+                ok = (type(sum(dims, sum(stats, n_est + nd["depth"]
+                                         + nd["created_at"]))) is int
+                      and len(est) == c and dim_ids.issuperset(dims))
             except TypeError:
                 ok = False
             if not (ok and (active or type(stats) is list
                             and len(stats) == 3)):
                 raise ValueError(f"node {node_id}: a leaf is malformed")
-            leaf = Leaf(node_id, nd["depth"], list(nd["est"]), n_est,
-                        list(nd["dims"]), nd["created_at"])
+            leaf = Leaf(node_id, nd["depth"], list(est), n_est, list(dims),
+                        nd["created_at"])
             for row in nd["cands"]:
                 if type(row) is not list or len(row) != 2 + 4 * c:
                     raise ValueError(f"node {node_id}: a candidate row is not "
@@ -394,8 +392,9 @@ class OnlineTree:
                     ok = type(sum(s.ls, sum(s.rs, s.nle + s.nre))) is int
                 except TypeError:
                     ok = False
-                if not (ok and type(s.dim) is int and is_number(s.threshold)):
-                    raise ValueError(f"node {node_id}: a row is mistyped")
+                if not (ok and type(s.dim) is int and s.dim in dim_ids
+                        and is_number(s.threshold)):
+                    raise ValueError(f"node {node_id}: a row is malformed")
                 leaf.candidate_splits.append(s)
             if active:
                 tree.fringe.active_ids.add(node_id)
@@ -403,4 +402,7 @@ class OnlineTree:
                 leaf.stats = InactiveLeafStats(*stats)
                 tree.fringe.inactive_ids.add(node_id)
             tree.nodes.append(leaf)
+        if 2 * is_left.count(1) + 1 != n:  # a pair of nodes has no parent
+            raise ValueError(f"node {2 * is_left[1::2].find(0) + 1}: no split "
+                             f"has it as a child" if n else "a tree has no nodes")
         return tree

@@ -105,8 +105,9 @@ def load_tiny_fixture():
 def leaf_cells(tree):
     """{leaf node id: cell} by a depth-first pass over the node arena.
 
-    Independent of OnlineTree.cell: each child's cell is copied from its
-    parent's with the split dimension's interval cut at the threshold.
+    Independent of OnlineTree.cell_diameter's walk: each child's cell is
+    copied from its parent's with the split dimension's interval cut at
+    the threshold.
     """
     from orf.tree import InternalNode
     cells = {}

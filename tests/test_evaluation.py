@@ -13,8 +13,7 @@ from orf.experiment import (ExperimentConfig, MogSource, load_data,
 MOG_SPEC = str(pathlib.Path(__file__).resolve().parents[1]
                / "configs" / "mog5.json")
 from orf.evaluation import (clip_box_from_points, consistency_report,
-                            cell_diameter, evaluate, load_run_artifacts,
-                            probe_stats)
+                            evaluate, load_run_artifacts, probe_stats)
 from orf.forest import OnlineForest
 from orf.tree import InternalNode, Leaf, OnlineTree
 
@@ -55,30 +54,42 @@ class TestEvaluate:
 
 
 class TestLeafDiameter:
-    def _tree(self):
-        return OnlineTree(make_params(), 2, 2, RngStream(1))
+    def _tree(self, *splits):
+        """A tree cut by `splits`, (dim, threshold) pairs: the first at the
+        root, each later one in the left child of the one before."""
+        tree = OnlineTree(make_params(), 2, 2, RngStream(1))
+        node_id = 0
+        for dim, thr in splits:
+            left = len(tree.nodes)
+            tree.nodes[node_id] = InternalNode(dim, thr, left, left + 1)
+            tree.nodes += [Leaf(left, 1, [0, 0], 0, [0], 0),
+                           Leaf(left + 1, 1, [0, 0], 0, [0], 0)]
+            node_id = left
+        return tree
 
     def test_root_clipped_to_unit_square(self):
         tree = self._tree()
-        box = [(0.0, 1.0), (0.0, 1.0)]
-        _, cell = tree.cell((0.5, 0.5))
-        assert cell_diameter(cell, box) == pytest.approx(math.sqrt(2))
+        leaf, diameter = tree.cell_diameter((0.5, 0.5), [(0.0, 1.0)] * 2)
+        assert leaf is tree.nodes[0]
+        assert diameter == pytest.approx(math.sqrt(2))
 
     def test_partial_cell(self):
-        box = [(-5.0, 5.0), (-5.0, 5.0)]
-        assert cell_diameter([(0.0, 0.5), (0.0, 1.0)], box) == \
-            pytest.approx(math.sqrt(1.25))
-        # a cell that only one split has cut
-        tree = self._tree()
-        tree.nodes[0] = InternalNode(0, 0.5, 1, 2)
-        tree.nodes += [Leaf(1, 1, [0, 0], 0, [0], 0),
-                       Leaf(2, 1, [0, 0], 0, [0], 0)]
-        _, cell = tree.cell((0.2, 0.2))
-        assert cell_diameter(cell, box) == pytest.approx(math.sqrt(130.25))
+        # a cell that only one split has cut: (-inf, 0.5] x (-inf, inf)
+        tree = self._tree((0, 0.5))
+        leaf, diameter = tree.cell_diameter((0.2, 0.2), [(-5.0, 5.0)] * 2)
+        assert leaf is tree.nodes[1]
+        assert diameter == pytest.approx(math.sqrt(130.25))
+        _, diameter = tree.cell_diameter((0.2, 0.2), [(0.0, 5.0), (0.0, 1.0)])
+        assert diameter == pytest.approx(math.sqrt(1.25))
 
     def test_degenerate_cell(self):
-        assert cell_diameter([(0.3, 0.3), (0.7, 0.7)],
-                             [(0, 1), (0, 1)]) == 0.0
+        """A cell outside the box adds no edge: (-inf, 0.5]^2 misses
+        [0.6, 1]^2 entirely, and [0.6, 1] x [0, 1] but for one edge."""
+        tree = self._tree((0, 0.5), (1, 0.5))
+        leaf, diameter = tree.cell_diameter((0.2, 0.2), [(0.6, 1.0)] * 2)
+        assert leaf is tree.nodes[3] and diameter == 0.0
+        _, diameter = tree.cell_diameter((0.2, 0.2), [(0.6, 1.0), (0.0, 1.0)])
+        assert diameter == 0.5
 
     def test_probe_stats_on_fresh_forest(self):
         forest = constant_forest(0, num_trees=2)

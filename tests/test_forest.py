@@ -258,13 +258,29 @@ class TestSerialization:
         ("est", lambda est: [1.5, *est[1:]]),
         ("dims", lambda dims: [0.5, *dims[1:]]),
         ("stats", lambda stats: [stats[0], "1", stats[2]]),
+        ("est", lambda est: {}),
+        ("est", lambda est: est + [0]),
+        ("dims", lambda dims: [2, *dims[1:]]),
+        ("cands", lambda cands: [[2, *cands[0][1:]]]),
+        ("threshold", lambda thr: "a"),
+        ("threshold", lambda thr: math.nan),
+        ("dim", lambda dim: 5),
+        ("dim", lambda dim: 1.0),
+        ("left", lambda left: 0),
+        ("right", lambda right: right + 1),
     ], ids=["long_row", "short_row", "long_stats", "short_stats",
             "stats_object", "structure_count_a", "estimation_count_float",
             "candidate_dim_float", "threshold_inf", "depth_a",
-            "created_at_null", "est_float", "dims_float", "stats_entry_str"])
+            "created_at_null", "est_float", "dims_float", "stats_entry_str",
+            "est_object", "est_long", "dims_out_of_range",
+            "candidate_dim_out_of_range", "split_threshold_a",
+            "split_threshold_nan", "split_dim_out_of_range",
+            "split_dim_float", "root_left_own_id", "right_not_left_plus_1"])
     def test_rejects_malformed_leaf(self, key, spoil):
-        """Wrong lengths, a v2-style stats object of three keys, and an
-        entry of the wrong type in a leaf or a candidate row."""
+        """Wrong lengths, a v2-style stats object of three keys, an entry
+        of the wrong type in a leaf or a candidate row, a dimension outside
+        [0, n_features), and a split node's malformed field (the first
+        split is the root, so a left of 0 is the root's own id)."""
         doc = grown_forest(num_trees=1, n=600, fringe_capacity=3).to_doc()
         node_id, nd = next((i, nd) for i, nd in
                            enumerate(doc["trees"][0]["nodes"]) if nd.get(key))
@@ -274,13 +290,43 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("t", "1"), ("n_features", 2.0), ("trees.n_classes", True),
-        ("trees.total_est_seen", None)])
+        ("trees.total_est_seen", None), ("n_classes", 3),
+        ("rng.entropy", 101.9), ("rng.entropy", True), ("rng.entropy", None),
+        ("rng.entropy", 2 ** 64), ("rng.spawn_key", [0.7]),
+        ("rng.spawn_key", [-1])])
     def test_rejects_mistyped_counter(self, key, value):
+        """A counter of the wrong type, a forest whose n_classes is not its
+        tree's, and an RNG state outside the seeds a tree can have."""
         doc = grown_forest(num_trees=1).to_doc()
-        part = doc["trees"][0] if key.startswith("trees.") else doc
-        part[key.removeprefix("trees.")] = value
-        with pytest.raises(ValueError, match=f"^{key.removeprefix('trees.')} "
-                                             f"must be an integer"):
+        part = {"trees": doc["trees"][0],
+                "rng": doc["trees"][0]["rng"]}.get(key.split(".")[0], doc)
+        part[key.split(".")[-1]] = value
+        rng_rule = (r"^rng entropy must be an integer in \[0, 2\*\*64\), "
+                    r"spawn_key a list of non-negative integers, got ")
+        match = {"n_classes": "^tree n_features or n_classes is not the "
+                              "forest's",
+                 "rng.entropy": rng_rule, "rng.spawn_key": rng_rule}
+        with pytest.raises(ValueError, match=match.get(
+                key, f"^{key.split('.')[-1]} must be an integer")):
+            OnlineForest.from_doc(doc)
+
+    @pytest.mark.parametrize("spoil, match", [
+        (lambda nodes: nodes[-1].update(kind="split"), "KeyError 'dim'"),
+        (lambda nodes: next(nd for nd in nodes[1:] if nd["kind"] == "split")
+         .update(left=1, right=2), r"^node [1-9]\d*: a split is malformed"),
+        (lambda nodes: nodes.append(dict(nodes[-1])),
+         r"^node \d+: no split has it as a child"),
+        (lambda nodes: nodes.clear(), "^a tree has no nodes"),
+        (lambda nodes: nodes.__setitem__(0, []), "TypeError"),
+    ], ids=["leaf_kind_split", "second_parent", "orphan", "no_nodes",
+            "node_not_an_object"])
+    def test_rejects_broken_tree_structure(self, spoil, match):
+        """Every node but the root is the child of exactly one split, so
+        routing ends at a leaf; a missing key or a wrong container type is
+        a ValueError too."""
+        doc = grown_forest(num_trees=1).to_doc()
+        spoil(doc["trees"][0]["nodes"])
+        with pytest.raises(ValueError, match=match):
             OnlineForest.from_doc(doc)
 
     def test_gzip_header(self):

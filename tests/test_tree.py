@@ -266,17 +266,19 @@ class TestRouting:
         tree.update((0.7, 0.0), 1, S, 4)        # valid + gain 1 -> split
         (rec,), _ = tree.drain_events()
         assert rec.threshold == 0.5
-        left, left_cell = tree.cell((0.5, 123.0))
-        right, right_cell = tree.cell((0.5000001, 0.0))
-        assert left is tree.route((0.5, 123.0)) is not right
-        assert left_cell[0] == (-math.inf, 0.5)
-        assert right_cell[0] == (0.5, math.inf)
+        left, right = tree.route((0.5, 123.0)), tree.route((0.5000001, 0.0))
+        assert left is not right
+        cells = leaf_cells(tree)
+        assert cells[left.node_id][0] == (-math.inf, 0.5)
+        assert cells[right.node_id][0] == (0.5, math.inf)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             new_tree().route((0.1,))
         with pytest.raises(ValueError):
-            new_tree().cell((0.1, 0.2, 0.3))
+            new_tree().route((0.1, 0.2, 0.3))
+        with pytest.raises(ValueError):
+            new_tree().cell_diameter((0.1,), [(0.0, 1.0)] * 2)
 
     def test_cell_matches_route_and_tree_walk(self):
         tree = new_tree(make_params(m=4, lam=1.0, beta_multiplier=20.0),
@@ -286,10 +288,30 @@ class TestRouting:
         assert tree.split_count > 5
         cells = leaf_cells(tree)
         for x, _, _ in stream[::7]:
-            leaf, cell = tree.cell(x)
-            assert leaf is tree.route(x)
-            assert cell == cells[leaf.node_id]
+            cell = cells[tree.route(x).node_id]
             assert all(lo < v <= hi for v, (lo, hi) in zip(x, cell))
+
+    def test_cell_diameter_is_the_clipped_walked_cell(self):
+        """cell_diameter lands on route's leaf, and its diameter equals, as
+        a float, that of the leaf's depth-first cell clipped to the box."""
+        tree = new_tree(make_params(m=4, lam=1.0, beta_multiplier=20.0),
+                        seed=9)
+        stream = synthetic_stream(21, 800)
+        drive(tree, stream)
+        assert tree.split_count > 5
+        cells = leaf_cells(tree)
+        box = [(0.1, 0.8), (-0.2, 1.1)]
+        outside = 0
+        for x, _, _ in stream[::3]:
+            leaf, diameter = tree.cell_diameter(x, box)
+            assert leaf is tree.route(x)
+            acc = 0.0
+            for (lo, hi), (clo, chi) in zip(cells[leaf.node_id], box):
+                edge = min(hi, chi) - max(lo, clo)
+                outside += edge <= 0
+                acc += edge * edge if edge > 0 else 0.0
+            assert diameter == math.sqrt(acc)
+        assert outside
 
 
 class TestUpdate:
@@ -345,7 +367,7 @@ class TestSplit:
     def test_routing_after_split(self):
         tree = self._split_tree()
         thr = tree.nodes[0].threshold
-        assert tree.cell((thr,))[1][0][1] == thr
+        assert leaf_cells(tree)[tree.route((thr,)).node_id][0][1] == thr
 
 
 class TestPrediction:
@@ -463,13 +485,17 @@ class TestMonotoneRefinement:
     def test_query_cell_never_grows(self):
         tree = new_tree(make_params(m=4, lam=1.0), seed=9)
         probes = [(0.21, 0.77), (0.5, 0.5), (0.99, 0.01)]
-        prev = {p: tree.cell(p)[1] for p in probes}
+
+        def cell(p):
+            return leaf_cells(tree)[tree.route(p).node_id]
+
+        prev = {p: cell(p) for p in probes}
         t = 0
         for x, y, tag in synthetic_stream(21, 600):
             t += 1
             tree.update(x, y, tag, t)
             for p in probes:
-                ext = tree.cell(p)[1]
+                ext = cell(p)
                 for (lo0, hi0), (lo1, hi1) in zip(prev[p], ext):
                     assert lo1 >= lo0 and hi1 <= hi0
                 prev[p] = ext
