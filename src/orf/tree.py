@@ -387,13 +387,13 @@ class OnlineTree:
                 s = new(CandidateSplit)  # every slot is set from the row
                 s.dim, s.threshold = row[0], row[1]
                 s.ls, s.rs, s.le, s.re = row[ls], row[rs], row[le], row[re]
-                try:  # as for the leaf, one sum over the counts
+                try:  # as for the leaf, one sum over the dim and the counts
                     s.nle, s.nre = sum(s.le), sum(s.re)
-                    ok = type(sum(s.ls, sum(s.rs, s.nle + s.nre))) is int
+                    ok = type(sum(s.ls, sum(s.rs, s.dim + s.nle
+                                            + s.nre))) is int
                 except TypeError:
                     ok = False
-                if not (ok and type(s.dim) is int and s.dim in dim_ids
-                        and is_number(s.threshold)):
+                if not (ok and s.dim in dim_ids and is_number(s.threshold)):
                     raise ValueError(f"node {node_id}: a row is malformed")
                 leaf.candidate_splits.append(s)
             if active:
