@@ -1,4 +1,4 @@
-"""Golden byte guard: two fixed small runs must reproduce committed digests.
+"""Golden byte guard: three fixed small runs must reproduce committed digests.
 
 The digests in fixtures/golden_digests.json were taken from the code as it
 stood before the refactors they guard. A change that alters any of these
@@ -23,20 +23,27 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 DIGESTS = FIXTURES / "golden_digests.json"
 FILES = ("curves.csv", "splits.csv", "activations.csv", "forest.json.gz")
 
-# name -> hyperparameter overrides; "fringe" is bounded tightly enough that
-# activations.csv has rows
+MOG5 = REPO / "configs" / "mog5.json"
+
+# name -> (mixture spec, hyperparameter overrides); "fringe" and "c3d4" are
+# bounded tightly enough that activations.csv has rows, and "c3d4" has
+# another class and feature count (C = 3, D = 4) than mog5 (C = 5, D = 2)
 CASES = {
-    "unbounded": dict(num_trees=3, m=5, beta_multiplier=50.0,
-                      master_seed=20130901),
-    "fringe": dict(num_trees=3, m=5, beta_multiplier=20.0,
-                   fringe_capacity=3, master_seed=20130920),
+    "unbounded": (MOG5, dict(num_trees=3, m=5, beta_multiplier=50.0,
+                             master_seed=20130901)),
+    "fringe": (MOG5, dict(num_trees=3, m=5, beta_multiplier=20.0,
+                          fringe_capacity=3, master_seed=20130920)),
+    "c3d4": (FIXTURES / "mog3x4.json",
+             dict(num_trees=3, lam=3.0, m=2, beta_multiplier=20.0,
+                  fringe_capacity=2, master_seed=20130302)),
 }
 
 
 def run_digests(name, out_dir) -> dict:
+    spec, overrides = CASES[name]
     config = ExperimentConfig(
-        hyperparams=make_params(**CASES[name]),
-        data=MogSource(str(REPO / "configs" / "mog5.json"), 300),
+        hyperparams=make_params(**overrides),
+        data=MogSource(str(spec), 300),
         checkpoints=(300, 1500), runs=1, out_dir=str(out_dir),
         probe_points=32, clip_sample=300)
     run_all(config)
@@ -59,9 +66,10 @@ def test_golden_digests(name, tmp_path):
 
 
 def test_fringe_case_has_activations(tmp_path):
-    run_digests("fringe", tmp_path)
-    rows = (tmp_path / "run00" / "activations.csv").read_text().splitlines()
-    assert len(rows) > 1
+    for name in ("fringe", "c3d4"):
+        run_digests(name, tmp_path / name)
+        rows = (tmp_path / name / "run00" / "activations.csv").read_text()
+        assert len(rows.splitlines()) > 1, name
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
