@@ -2,9 +2,9 @@
 
 The names below are the public API. Counts are flat per-class lists with
 their totals beside them: a `Leaf` keeps its estimation counts in `est` and
-`n_est`; a `CandidateSplit` keeps four lists (`ls`, `rs`, `le`, `re`) and its
-estimation totals (`nle`, `nre`), and `information_gain` scores it from a
-precomputed c·log2(c) table.
+`n_est`; a candidate split is one list `[dim, threshold, *ls, *rs, *le, *re,
+nle, nre]` in `Leaf.candidate_splits` (the layout is in `orf.tree`), and
+`information_gain` scores it from a precomputed c·log2(c) table.
 """
 
 from orf.core import (HyperParams, InvariantViolation, LabeledPoint,
@@ -12,8 +12,7 @@ from orf.core import (HyperParams, InvariantViolation, LabeledPoint,
 from orf.data import (Dataset, MixtureOfGaussians, MogComponent, ParseError,
                       parse_libsvm, stream_schedule)
 from orf.forest import OnlineForest
-from orf.tree import (CandidateSplit, Leaf, OnlineTree, information_gain,
-                      must_split)
+from orf.tree import Leaf, OnlineTree, information_gain, must_split
 
 __all__ = [
     "HyperParams", "InvariantViolation", "LabeledPoint", "RngStream",
@@ -21,5 +20,5 @@ __all__ = [
     "Dataset", "MixtureOfGaussians", "MogComponent", "ParseError",
     "parse_libsvm", "stream_schedule",
     "OnlineForest",
-    "CandidateSplit", "Leaf", "OnlineTree", "information_gain", "must_split",
+    "Leaf", "OnlineTree", "information_gain", "must_split",
 ]

@@ -76,13 +76,14 @@ class OnlineForest:
 
     # -- serialization ----------------------------------------------------------
 
+    def _head(self) -> dict:
+        """The document without its trees; "trees" is its last key."""
+        return {"format": FOREST_FORMAT, "version": FOREST_VERSION,
+                "params": self.params.to_json(), "n_features": self.n_features,
+                "n_classes": self.n_classes, "t": self.t, "trees": []}
+
     def to_doc(self) -> dict:
-        return {"format": FOREST_FORMAT,
-                "version": FOREST_VERSION,
-                "params": self.params.to_json(),
-                "n_features": self.n_features,
-                "n_classes": self.n_classes,
-                "t": self.t,
+        return {**self._head(),
                 "trees": [tree.to_doc() for tree in self.trees]}
 
     @classmethod
@@ -111,21 +112,31 @@ class OnlineForest:
         return forest
 
     def to_bytes(self) -> bytes:
-        """Canonical gzip-compressed JSON; equal forests give equal bytes."""
-        with _gc_paused():
-            text = json.dumps(self.to_doc(), separators=(",", ":"),
-                              allow_nan=False)
+        """Canonical gzip-compressed JSON; equal forests give equal bytes.
+        The text is `to_doc`'s, written tree by tree: a save holds one
+        tree's document at a time."""
+        dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
         buf = io.BytesIO()
         # GzipFile, not gzip.compress: its OS byte is ff on every Python
-        with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=6,
-                           mtime=0) as zf:
-            zf.write(text.encode())
+        with _gc_paused(), gzip.GzipFile(fileobj=buf, mode="wb",
+                                         compresslevel=6, mtime=0) as zf:
+            zf.write(dumps(self._head())[:-2].encode())  # to "trees":[
+            for i, tree in enumerate(self.trees):
+                zf.write(b"," if i else b"")
+                zf.write(dumps(tree.to_doc()).encode())
+            zf.write(b"]}")
         return buf.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "OnlineForest":
+        """Raises only ValueError on a blob that is not a forest."""
         with _gc_paused():
-            return cls.from_doc(json.loads(gzip.decompress(blob)))
+            try:  # not gzip, cut short, corrupted, or nested too deeply
+                doc = json.loads(gzip.decompress(blob))
+            except (OSError, EOFError, gzip.zlib.error, RecursionError) as exc:
+                raise ValueError(f"cannot decode a forest: "
+                                 f"{type(exc).__name__} {exc}") from None
+            return cls.from_doc(doc)
 
     def save(self, path) -> None:
         write_atomic(path, self.to_bytes())

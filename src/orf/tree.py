@@ -11,9 +11,13 @@ candidate has both estimation children at alpha(d) or more, and either the
 best such candidate's information gain exceeds tau or the leaf itself holds
 beta(d) or more estimation points.
 
-Leaves and candidates count classes the same way, in a flat per-class
-list with its total beside it. Leaves store no geometry: a probe's cell is
-walked from the root when it is measured (`OnlineTree.cell_diameter`).
+Leaves and candidates count classes the same way, per class with the
+total beside. A candidate is one list, `[dim, threshold, *ls, *rs, *le,
+*re, nle, nre]`: C structure (`ls`, `rs`) and C estimation (`le`, `re`)
+label counts each side of the threshold, then the two estimation totals
+the alpha gate reads; the document stores it without the totals. Leaves
+store no geometry: a probe's cell is walked from the root when it is
+measured (`OnlineTree.cell_diameter`).
 """
 
 from __future__ import annotations
@@ -24,28 +28,6 @@ from dataclasses import dataclass
 from orf.core import HyperParams, InvariantViolation, RngStream, \
     StreamAssignment, alpha, beta, is_int, is_number, majority
 from orf.fringe import FringeState, InactiveLeafStats
-
-class CandidateSplit:
-    """A candidate split with flat per-class counts on each side.
-
-    `ls`/`rs` count structure labels left/right of the threshold and
-    `le`/`re` estimation labels; `nle`/`nre` are the estimation totals the
-    alpha gate reads. Structure totals are summed when a gain needs them.
-    A candidate's creation order is its index in `Leaf.candidate_splits`.
-    """
-
-    __slots__ = ("dim", "threshold", "ls", "rs", "le", "re", "nle", "nre")
-
-    def __init__(self, dim: int, threshold: float, n_classes: int):
-        self.dim = dim
-        self.threshold = threshold
-        self.ls = [0] * n_classes
-        self.rs = [0] * n_classes
-        self.le = [0] * n_classes
-        self.re = [0] * n_classes
-        self.nle = 0
-        self.nre = 0
-
 
 class Leaf:
     """A leaf with its estimation counts: `est` per class, `n_est` in all.
@@ -66,7 +48,7 @@ class Leaf:
         self.est = est
         self.n_est = n_est
         self.candidate_dims = candidate_dims
-        self.candidate_splits: list[CandidateSplit] = []
+        self.candidate_splits: list[list] = []  # candidate rows
         self.created_at = created_at
         self.stats: InactiveLeafStats | None = None
 
@@ -99,7 +81,7 @@ _XLOG2X = (0.0,) + tuple(c * math.log2(c) for c in range(1, _TABLE_SIZE))
 _LOG2 = (0.0,) + tuple(math.log2(n) for n in range(1, _TABLE_SIZE))
 
 
-def information_gain(s: CandidateSplit) -> float:
+def information_gain(s: list) -> float:
     """Entropy reduction of the structure-stream labels under s, in bits.
 
     Computes H(parent) - nl/n*H(left) - nr/n*H(right) in one pass over
@@ -107,7 +89,8 @@ def information_gain(s: CandidateSplit) -> float:
     terms added left to right; H is exactly zero on an empty or pure side
     and clamped at zero where it rounds below.
     """
-    ls, rs = s.ls, s.rs
+    c = (len(s) - 4) >> 2
+    ls, rs = s[2:2 + c], s[2 + c:2 + 2 * c]
     nl, nr = sum(ls), sum(rs)
     n = nl + nr
     if n == 0:
@@ -144,8 +127,8 @@ def information_gain(s: CandidateSplit) -> float:
 
 def create_candidate_splits(leaf: Leaf, x, n_classes: int) -> None:
     """Project one structure point onto the leaf's candidate dimensions."""
-    for d in leaf.candidate_dims:
-        leaf.candidate_splits.append(CandidateSplit(d, x[d], n_classes))
+    counts = [0] * (4 * n_classes + 2)  # four count lists and two totals
+    leaf.candidate_splits += ([d, x[d]] + counts for d in leaf.candidate_dims)
 
 
 def must_split(leaf: Leaf, params: HyperParams) -> bool:
@@ -156,10 +139,9 @@ def _best_valid(leaf: Leaf, params: HyperParams):
     """Best valid candidate and its gain; the earliest created (first in
     the list) wins ties."""
     a = alpha(params, leaf.depth)
-    best = None
-    best_gain = -1.0
+    best, best_gain = None, -1.0
     for s in leaf.candidate_splits:
-        if s.nle >= a and s.nre >= a:
+        if s[-2] >= a and s[-1] >= a:
             g = information_gain(s)
             if g > best_gain:
                 best, best_gain = s, g
@@ -250,19 +232,21 @@ class OnlineTree:
         if assignment is StreamAssignment.SKIP:
             return
         leaf = self.route(x)
+        c = self.n_classes
         if assignment is StreamAssignment.ESTIMATION:
             self.total_est_seen += 1
             if leaf.stats is not None:
                 self.fringe.record_estimation_arrival(leaf, y)
             leaf.est[y] += 1
             leaf.n_est += 1
+            i, j = 2 + 2 * c + y, 2 + 3 * c + y  # le[y], re[y]
             for s in leaf.candidate_splits:
-                if x[s.dim] <= s.threshold:
-                    s.le[y] += 1
-                    s.nle += 1
+                if x[s[0]] <= s[1]:
+                    s[i] += 1
+                    s[-2] += 1
                 else:
-                    s.re[y] += 1
-                    s.nre += 1
+                    s[j] += 1
+                    s[-1] += 1
             return
         # structure point; an inactive leaf ignores it
         if leaf.stats is not None:
@@ -270,31 +254,33 @@ class OnlineTree:
         # fewer than m structure points projected so far
         if len(leaf.candidate_splits) < \
                 self.params.m * len(leaf.candidate_dims):
-            create_candidate_splits(leaf, x, self.n_classes)
+            create_candidate_splits(leaf, x, c)
+        i, j = 2 + y, 2 + c + y  # ls[y], rs[y]
         for s in leaf.candidate_splits:
-            (s.ls if x[s.dim] <= s.threshold else s.rs)[y] += 1
+            s[i if x[s[0]] <= s[1] else j] += 1
         best, gain = _best_valid(leaf, self.params)
         if best is not None and (gain > self.params.tau
                                  or must_split(leaf, self.params)):
             self._perform_split(leaf, best, gain, t)
 
-    def _perform_split(self, leaf: Leaf, s: CandidateSplit, gain: float,
+    def _perform_split(self, leaf: Leaf, s: list, gain: float,
                        t: int) -> None:
-        d = leaf.depth
+        d, c = leaf.depth, self.n_classes
         a = alpha(self.params, d)
-        if s.nle < a or s.nre < a:
+        nle, nre = s[-2], s[-1]
+        if nle < a or nre < a:
             raise InvariantViolation(
                 f"validity gate: split at depth {d} with child estimation "
-                f"counts ({s.nle}, {s.nre}) < {a}")
-        # the children take over the winner's estimation counts: the
-        # candidate goes away with the leaf it belonged to
-        left = self._new_leaf(d + 1, s.le, s.nle, t)
-        right = self._new_leaf(d + 1, s.re, s.nre, t)
+                f"counts ({nle}, {nre}) < {a}")
+        # the children take the winner's estimation counts, `le` and `re`;
+        # the candidate goes away with the leaf it belonged to
+        left = self._new_leaf(d + 1, s[2 + 2 * c:2 + 3 * c], nle, t)
+        right = self._new_leaf(d + 1, s[2 + 3 * c:-2], nre, t)
         self.nodes[leaf.node_id] = InternalNode(
-            s.dim, s.threshold, left.node_id, right.node_id)
+            s[0], s[1], left.node_id, right.node_id)
         self.pending_splits.append(SplitRecord(
-            t=t, depth=d, dim=s.dim, threshold=s.threshold, gain=gain,
-            left_est=s.nle, right_est=s.nre))
+            t=t, depth=d, dim=s[0], threshold=s[1], gain=gain,
+            left_est=nle, right_est=nre))
         self.fringe.on_leaf_split(self, leaf, left, right, t)
 
     def drain_events(self):
@@ -319,8 +305,7 @@ class OnlineTree:
                        "dims": node.candidate_dims[:],
                        "active": node.stats is None,
                        "created_at": node.created_at,
-                       "cands": [[s.dim, s.threshold, *s.ls, *s.rs, *s.le,
-                                  *s.re] for s in node.candidate_splits]}
+                       "cands": [s[:-2] for s in node.candidate_splits]}
                 if node.stats is not None:
                     st = node.stats
                     doc["stats"] = [st.n_est_in_leaf, st.n_errors,
@@ -344,8 +329,8 @@ class OnlineTree:
                    RngStream.from_state(doc["rng"]), _empty=True)
         tree.total_est_seen = doc["total_est_seen"]
         c, nf, n = doc["n_classes"], doc["n_features"], len(doc["nodes"])
-        ls, rs, le, re = (slice(2 + k * c, 2 + k * c + c) for k in range(4))
-        new = CandidateSplit.__new__
+        lsrs, le, re = (slice(2 + a * c, 2 + b * c)
+                        for a, b in ((0, 2), (2, 3), (3, 4)))
         dim_ids, left_ids = set(range(nf)), range(1, n - 1, 2)
         is_left = bytearray(n)  # children come in pairs (left, left + 1)
         for node_id, nd in enumerate(doc["nodes"]):
@@ -384,18 +369,15 @@ class OnlineTree:
                 if type(row) is not list or len(row) != 2 + 4 * c:
                     raise ValueError(f"node {node_id}: a candidate row is not "
                                      f"a list of {2 + 4 * c}")
-                s = new(CandidateSplit)  # every slot is set from the row
-                s.dim, s.threshold = row[0], row[1]
-                s.ls, s.rs, s.le, s.re = row[ls], row[rs], row[le], row[re]
                 try:  # as for the leaf, one sum over the dim and the counts
-                    s.nle, s.nre = sum(s.le), sum(s.re)
-                    ok = type(sum(s.ls, sum(s.rs, s.dim + s.nle
-                                            + s.nre))) is int
+                    nle, nre = sum(row[le]), sum(row[re])
+                    ok = type(sum(row[lsrs], row[0] + nle + nre)) is int
                 except TypeError:
                     ok = False
-                if not (ok and s.dim in dim_ids and is_number(s.threshold)):
+                if not (ok and row[0] in dim_ids and is_number(row[1])):
                     raise ValueError(f"node {node_id}: a row is malformed")
-                leaf.candidate_splits.append(s)
+                # a copy: the tree must not share lists with the document
+                leaf.candidate_splits.append(row + [nle, nre])
             if active:
                 tree.fringe.active_ids.add(node_id)
             else:

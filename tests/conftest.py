@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,6 +80,24 @@ def shrink_factor_check(m: int, trials: int, seed: int):
     mean = float(vstar.mean())
     stderr = float(vstar.std(ddof=1) / math.sqrt(trials))
     return mean, stderr
+
+
+def cand(dim=0, thr=0.5, ls=None, rs=None, le=None, re=None, C=2):
+    """A candidate row, `[dim, thr, *ls, *rs, *le, *re, nle, nre]`; a count
+    list not given is C zeros."""
+    ls, rs, le, re = (list(v) if v is not None else [0] * C
+                      for v in (ls, rs, le, re))
+    return [dim, thr, *ls, *rs, *le, *re, sum(le), sum(re)]
+
+
+def cand_fields(row):
+    """A candidate row's entries by name: dim, threshold, ls, rs, le, re,
+    nle, nre."""
+    c = len(row) // 4 - 1
+    return SimpleNamespace(
+        dim=row[0], threshold=row[1], ls=row[2:2 + c], rs=row[2 + c:2 + 2 * c],
+        le=row[2 + 2 * c:2 + 3 * c], re=row[2 + 3 * c:2 + 4 * c],
+        nle=row[-2], nre=row[-1])
 
 
 def drive(tree, stream, t0=0):

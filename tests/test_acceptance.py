@@ -13,13 +13,13 @@ import time
 
 import pytest
 
-from conftest import drive, leaf_cells_in_order, load_tiny_fixture, \
+from conftest import cand, drive, leaf_cells_in_order, load_tiny_fixture, \
     make_params, shrink_factor_check, synthetic_stream, tree_skeleton
 from orf.core import HyperParams, LabeledPoint, RngStream, StreamAssignment, alpha
 from orf.experiment import (ExperimentConfig, MogSource, load_data, run_all,
                             run_experiment)
 from orf.forest import OnlineForest
-from orf.tree import CandidateSplit, Leaf, OnlineTree, information_gain
+from orf.tree import Leaf, OnlineTree, information_gain
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 E, S = StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE
@@ -124,11 +124,8 @@ def test_criterion_5a_information_gain_bounds():
     worst = 0.0
     for _ in range(10_000):
         C = rng.randint(2, 7)
-        s = CandidateSplit(0, 0.5, C)
-        for counts in (s.ls, s.rs):
-            for k in range(C):
-                counts[k] = rng.randint(0, 40)
-        g = information_gain(s)
+        ls, rs = ([rng.randint(0, 40) for _ in range(C)] for _ in range(2))
+        g = information_gain(cand(0, 0.5, ls, rs, C=C))
         assert 0.0 <= g <= math.log2(C) + 1e-9
         worst = max(worst, g - math.log2(C))
     note("5a", True, "gain within [0, log2 C] on 10^4 random histograms")

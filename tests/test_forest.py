@@ -1,10 +1,13 @@
+import gzip
+import io
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
-from conftest import leaves, make_params, synthetic_stream
+from conftest import cand_fields, leaves, make_params, synthetic_stream
 from orf.core import LabeledPoint, RngStream
 from orf.forest import OnlineForest
 from orf.tree import OnlineTree
@@ -220,7 +223,8 @@ class TestSerialization:
         for leaf in leaves(tree):
             nd = nodes[leaf.node_id]
             assert nd["cands"] == [[s.dim, s.threshold, *s.ls, *s.rs, *s.le,
-                                    *s.re] for s in leaf.candidate_splits]
+                                    *s.re] for s in
+                                   map(cand_fields, leaf.candidate_splits)]
             leaves_seen += bool(nd["cands"])
             if leaf.stats is not None:
                 st = leaf.stats
@@ -336,3 +340,65 @@ class TestSerialization:
         assert blob[:3] == b"\x1f\x8b\x08"
         assert blob[4:8] == b"\x00\x00\x00\x00"
         assert blob[9] == 0xFF
+
+    @pytest.mark.parametrize("num_trees", [1, 3])
+    def test_to_bytes_streams_the_one_shot_text(self, num_trees):
+        """Written tree by tree, the bytes are those of compressing the
+        whole document's text at once."""
+        forest = grown_forest(num_trees=num_trees, n=600, fringe_capacity=3)
+        text = json.dumps(forest.to_doc(), separators=(",", ":"),
+                          allow_nan=False)
+        buf = io.BytesIO()
+        with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=6,
+                           mtime=0) as zf:
+            zf.write(text.encode())
+        assert forest.to_bytes() == buf.getvalue()
+
+    @pytest.mark.parametrize("spoil", [
+        lambda good: b"garbage",
+        lambda good: good[:200],
+        lambda good: good[:10] + b"\xff" * 8 + good[18:],  # deflate data
+        lambda good: gzip.compress(b"[" * 100_000),
+    ], ids=["not_gzip", "truncated", "corrupted", "deeply_nested"])
+    def test_from_bytes_raises_only_value_error(self, spoil, tmp_path):
+        """Bytes that are not gzip, a cut or corrupted stream and JSON
+        nested past the parser's depth are all a ValueError, from
+        `from_bytes` and from `load`; a file that cannot be opened is
+        still an OSError."""
+        blob = spoil(grown_forest(num_trees=1).to_bytes())
+        with pytest.raises(ValueError, match="^cannot decode a forest: "):
+            OnlineForest.from_bytes(blob)
+        path = tmp_path / "forest.json.gz"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="^cannot decode a forest: "):
+            OnlineForest.load(path)
+        with pytest.raises(FileNotFoundError):
+            OnlineForest.load(tmp_path / "missing.json.gz")
+
+    def test_loaded_candidate_memory(self):
+        """A loaded candidate is one flat list: at most 350 bytes each under
+        tracemalloc at C = 5, where an object with four lists took 515."""
+        forest = OnlineForest(make_params(num_trees=2, m=10, master_seed=3),
+                              2, 5)
+        forest.update_stream(points_from_stream(
+            synthetic_stream(7, 3000, n_classes=5)))
+        doc = forest.to_doc()
+        rows = [nd["cands"] for td in doc["trees"] for nd in td["nodes"]
+                if nd["kind"] == "leaf"]
+        n_cands = sum(map(len, rows))
+        full = forest.to_bytes()
+        for cands in rows:
+            cands.clear()
+        bare = gzip.compress(json.dumps(doc).encode())
+
+        def live_bytes(blob):
+            tracemalloc.start()
+            try:
+                loaded = OnlineForest.from_bytes(blob)
+                return tracemalloc.get_traced_memory()[0], loaded
+            finally:
+                tracemalloc.stop()
+
+        (with_rows, _), (without, _) = live_bytes(full), live_bytes(bare)
+        assert n_cands > 1000
+        assert (with_rows - without) / n_cands <= 350

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (drive, leaf_cells, leaf_cells_in_order, leaves,
-                      load_tiny_fixture, make_params, synthetic_stream,
-                      tree_skeleton)
+from conftest import (cand, cand_fields, drive, leaf_cells,
+                      leaf_cells_in_order, leaves, load_tiny_fixture,
+                      make_params, synthetic_stream, tree_skeleton)
 from orf.core import InvariantViolation, RngStream, StreamAssignment
-from orf.tree import (_TABLE_SIZE, CandidateSplit, InternalNode, Leaf,
-                      OnlineTree, _best_valid, create_candidate_splits,
+from orf.tree import (_TABLE_SIZE, InternalNode, Leaf, OnlineTree, _best_valid, create_candidate_splits,
                       information_gain, must_split)
 
 E, S, SKIP = (StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE,
@@ -19,15 +18,6 @@ E, S, SKIP = (StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE,
 
 def set_est(leaf, counts):
     leaf.est, leaf.n_est = list(counts), sum(counts)
-
-
-def cand(dim=0, thr=0.5, ls=None, rs=None, le=None, re=None, C=2):
-    s = CandidateSplit(dim, thr, C)
-    for name, val in (("ls", ls), ("rs", rs), ("le", le), ("re", re)):
-        if val is not None:
-            setattr(s, name, list(val))
-    s.nle, s.nre = sum(s.le), sum(s.re)
-    return s
 
 
 def bare_leaf(depth=0, C=2, dims=(0,), est=None):
@@ -49,7 +39,7 @@ def gate_tree(cands, est=None, **over):
     tree = new_tree(make_params(m=1, **over))
     root = tree.nodes[0]
     root.candidate_splits = cands
-    root.candidate_dims = [s.dim for s in cands]
+    root.candidate_dims = [cand_fields(s).dim for s in cands]
     if est:
         set_est(root, est)
     return tree
@@ -198,7 +188,8 @@ class TestBestSplit:
         strong = cand(ls=[4, 0], rs=[0, 4], le=[1, 1], re=[1, 1])
         invalid = cand(ls=[9, 0], rs=[0, 9], le=[0, 0], re=[9, 9])
         leaf.candidate_splits = [weak, strong, invalid]
-        assert _best_valid(leaf, p) == (strong, 1.0)
+        best, gain = _best_valid(leaf, p)
+        assert best is strong and gain == 1.0
         twin = cand(dim=1, ls=[4, 0], rs=[0, 4], le=[1, 1], re=[1, 1])
         leaf.candidate_splits = [invalid, twin, strong]
         # twin and strong tie at gain 1.0; twin comes first in the list
@@ -208,7 +199,7 @@ class TestBestSplit:
         tree = gate_tree([invalid, twin, strong], tau=0.5, alpha_base=1.0)
         tree.update((0.9, 0.9), 1, S, 1)
         (rec,), _ = tree.drain_events()
-        assert rec.dim == twin.dim
+        assert rec.dim == cand_fields(twin).dim
 
     def test_no_valid_candidate_raises(self):
         tree = gate_tree([cand(le=[0, 0], re=[5, 5])], beta_multiplier=1.0)
@@ -225,18 +216,19 @@ class TestCandidateCreation:
     def test_projection_single_dim(self):
         leaf = bare_leaf(dims=[2])
         create_candidate_splits(leaf, (9.0, 9.0, 4.0), 2)
-        (s,) = leaf.candidate_splits
+        (s,) = map(cand_fields, leaf.candidate_splits)
         assert (s.dim, s.threshold) == (2, 4.0)
         assert sum(s.ls) == s.nle == 0
 
     def test_projection_two_dims(self):
         leaf = bare_leaf(dims=[0, 1])
         create_candidate_splits(leaf, (1.0, 2.0), 2)
-        assert [(s.dim, s.threshold) for s in leaf.candidate_splits] == \
-            [(0, 1.0), (1, 2.0)]
+        assert [(s.dim, s.threshold) for s in
+                map(cand_fields, leaf.candidate_splits)] == [(0, 1.0), (1, 2.0)]
         # creation order is list order: a later point's candidates follow
         create_candidate_splits(leaf, (3.0, 4.0), 2)
-        assert [(s.dim, s.threshold) for s in leaf.candidate_splits] == \
+        assert [(s.dim, s.threshold) for s in
+                map(cand_fields, leaf.candidate_splits)] == \
             [(0, 1.0), (1, 2.0), (0, 3.0), (1, 4.0)]
 
     def test_m_limits_split_points(self):
@@ -245,7 +237,8 @@ class TestCandidateCreation:
         tree.update((0.8,), 1, S, 2)
         (leaf,) = leaves(tree)
         assert leaf.candidate_dims == [0]
-        assert [s.threshold for s in leaf.candidate_splits] == [0.5]
+        assert [cand_fields(s).threshold for s in leaf.candidate_splits] == \
+            [0.5]
 
 
 class TestRouting:
@@ -431,7 +424,7 @@ class TestStreamIsolation:
         for leaf in leaves(tree):
             assert leaf.n_est == sum(leaf.est)
             est += leaf.n_est
-            for s in leaf.candidate_splits:
+            for s in map(cand_fields, leaf.candidate_splits):
                 assert (s.nle, s.nre) == (sum(s.le), sum(s.re))
                 est += s.nle + s.nre
                 struct += sum(s.ls) + sum(s.rs)
