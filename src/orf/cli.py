@@ -84,13 +84,13 @@ def cmd_diagnose(args) -> int:
     for run_dir in dirs:
         try:
             audit = consistency_report(load_run_artifacts(run_dir))
-        except OSError as exc:      # MissingArtifacts or an unreadable file
+        except OSError as exc:      # a missing or unreadable file
             print(str(exc), file=sys.stderr)
             return 3
         except (LookupError, TypeError, ValueError, ArithmeticError,
                 csv.Error) as exc:
-            # MalformedArtifacts or a value the audit cannot read; a failed
-            # invariant is reported in the audit, never raised
+            # a malformed artifact or a value the audit cannot read; a
+            # failed invariant is reported in the audit, never raised
             print(f"{run_dir}: malformed artifacts: {exc!r}", file=sys.stderr)
             return 3
         for line in audit.lines():

@@ -241,8 +241,9 @@ class RngStream:
 
     Poisson sampling inverts the CDF by sequential search (exact, one
     uniform per draw); rates above 30 are split additively so the search
-    term never underflows. Normals use a non-caching Box-Muller so the
-    serialized position is just the bit-generator state.
+    term never underflows. Normals use a non-caching Box-Muller, so the
+    saved position is the generator's alone: a stream is restored by
+    seeding it again (`RngStream(seed).child(i)`) and calling `set_state`.
     """
 
     __slots__ = ("_seq", "_gen")
@@ -317,19 +318,18 @@ class RngStream:
     def permutation(self, n: int) -> list[int]:
         return [int(i) for i in self._gen.permutation(n)]
 
-    def get_state(self) -> dict:
-        return {"entropy": self._seq.entropy,
-                "spawn_key": list(self._seq.spawn_key),
-                "bit_generator": self._gen.bit_generator.state}
+    def get_state(self) -> list[int]:
+        """PCG64's [state, has_uint32, uinteger]; the seed fixes the rest."""
+        st = self._gen.bit_generator.state
+        return [st["state"]["state"], st["has_uint32"], st["uinteger"]]
 
-    @classmethod
-    def from_state(cls, state: dict) -> "RngStream":
-        entropy, key = state["entropy"], state["spawn_key"]
-        if not (is_int(entropy) and 0 <= entropy < 2 ** 64 and type(key) is list
-                and all(is_int(i) and i >= 0 for i in key)):
-            raise ValueError(f"rng entropy must be an integer in [0, 2**64), "
-                             f"spawn_key a list of non-negative integers, "
-                             f"got {entropy!r} and {key!r}")
-        rng = cls(entropy, key)
-        rng._gen.bit_generator.state = state["bit_generator"]
-        return rng
+    def set_state(self, position) -> None:
+        """Move to a position `get_state` gave; the seed stays."""
+        if not (type(position) is list and len(position) == 3
+                and all(map(is_int, position)) and 0 <= position[0] < 2 ** 128
+                and 0 <= position[1] <= 1 and 0 <= position[2] < 2 ** 32):
+            raise ValueError(f"rng must be [state < 2**128, has_uint32 0 or "
+                             f"1, uinteger < 2**32], got {position!r}")
+        st = self._gen.bit_generator.state
+        st["state"]["state"], st["has_uint32"], st["uinteger"] = position
+        self._gen.bit_generator.state = st

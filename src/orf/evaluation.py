@@ -107,44 +107,36 @@ class RunAudit:
                 + ["result: " + ("PASS" if self.ok else "FAIL")])
 
 
-class MissingArtifacts(FileNotFoundError):
-    pass
-
-
-class MalformedArtifacts(ValueError):
-    pass
-
-
 def _read_csv(path: pathlib.Path, columns) -> list[dict]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != columns:
-            raise MalformedArtifacts(f"{path.name}: columns are not "
-                                     f"{','.join(columns)}")
+            raise ValueError(f"{path.name}: columns are not "
+                             f"{','.join(columns)}")
         rows = list(reader)
     # DictReader puts extra cells under the key None and fills missing ones
     if any(None in row or None in row.values() for row in rows):
-        raise MalformedArtifacts(f"{path.name}: a row does not have "
-                                 f"{len(columns)} cells")
+        raise ValueError(f"{path.name}: a row does not have "
+                         f"{len(columns)} cells")
     return rows
 
 
 def load_run_artifacts(run_dir):
-    """A run directory's four artifacts; raises MissingArtifacts or
-    MalformedArtifacts where they cannot be what a run writes."""
+    """A run directory's four artifacts; raises FileNotFoundError where one
+    is missing and ValueError where they cannot be what a run writes."""
     run_dir = pathlib.Path(run_dir)
     needed = ["run.json", "curves.csv", "splits.csv", "activations.csv"]
     missing = [n for n in needed if not (run_dir / n).exists()]
     if missing:
-        raise MissingArtifacts(f"{run_dir}: missing {', '.join(missing)}")
+        raise FileNotFoundError(f"{run_dir}: missing {', '.join(missing)}")
     try:
         with open(run_dir / "run.json", "rb") as fh:
             run = json.load(fh)
     except (ValueError, RecursionError) as exc:
-        raise MalformedArtifacts(f"run.json: not JSON: {exc}") from None
+        raise ValueError(f"run.json: not JSON: {exc}") from None
     curves = _read_csv(run_dir / "curves.csv", CURVES_COLUMNS)
     if not curves:
-        raise MalformedArtifacts("curves.csv: no checkpoint")
+        raise ValueError("curves.csv: no checkpoint")
     return {"run": run,
             "curves": curves,
             "splits": _read_csv(run_dir / "splits.csv", SPLITS_COLUMNS),

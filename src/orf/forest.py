@@ -18,19 +18,15 @@ from orf.core import (HyperParams, LabeledPoint, RngStream, assign_stream,
 from orf.tree import OnlineTree
 
 FOREST_FORMAT = "orf-forest"
-FOREST_VERSION = 3  # the only layout `from_doc` reads
+FOREST_VERSION = 4  # the only layout `from_doc` reads
 
 
 class OnlineForest:
-    def __init__(self, params: HyperParams, n_features: int, n_classes: int,
-                 _empty: bool = False):
+    def __init__(self, params: HyperParams, n_features: int, n_classes: int):
         self.params = params
         self.n_features = n_features
         self.n_classes = n_classes
         self.t = 0
-        if _empty:
-            self.trees: list[OnlineTree] = []
-            return
         root = RngStream(params.master_seed)
         self.trees = [OnlineTree(params, n_features, n_classes, root.child(i))
                       for i in range(params.num_trees)]
@@ -100,15 +96,18 @@ class OnlineForest:
                     raise ValueError(f"{key} must be an integer, "
                                      f"got {doc[key]!r}")
             params = HyperParams.from_json(doc["params"])
-            trees = [OnlineTree.from_doc(td, params) for td in doc["trees"]]
+            if len(doc["trees"]) != params.num_trees:
+                raise ValueError(f"{len(doc['trees'])} trees, but num_trees "
+                                 f"is {params.num_trees}")
+            forest = cls(params, doc["n_features"], doc["n_classes"])
+            # tree i keeps the stream __init__ seeded, moved to its position
+            forest.trees = [OnlineTree.from_doc(td, params, forest.n_features,
+                                                forest.n_classes, tree.rng)
+                            for td, tree in zip(doc["trees"], forest.trees)]
         except (AttributeError, IndexError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed forest document: "
                              f"{type(exc).__name__} {exc}") from None
-        shape = doc["n_features"], doc["n_classes"]
-        if {(tree.n_features, tree.n_classes) for tree in trees} - {shape}:
-            raise ValueError("tree n_features or n_classes is not the forest's")
-        forest = cls(params, *shape, _empty=True)
-        forest.t, forest.trees = doc["t"], trees
+        forest.t = doc["t"]
         return forest
 
     def to_bytes(self) -> bytes:

@@ -1,12 +1,13 @@
 """Bounded-memory leaf management.
 
 Leaves are either active (collecting candidate-split statistics) or
-inactive (carrying only arrival/error counters in `leaf.stats`): a leaf is
-active exactly when its `stats` is None. When an active leaf
-splits it frees a slot and the inactive leaf with the largest
-s-hat = p-hat * e-hat estimate takes its place; while the tree is smaller
-than the capacity the freed slots let every new leaf activate immediately,
-which reproduces the unbounded algorithm.
+inactive (carrying only `leaf.stats`, the counters `[n_est_in_leaf,
+n_errors, est_tree_at_creation]`): a leaf is active exactly when its
+`stats` is None. When an active leaf splits it frees a slot and the
+inactive leaf with the largest s-hat = p-hat * e-hat estimate takes its
+place; while the tree is smaller than the capacity the freed slots let
+every new leaf activate immediately, which reproduces the unbounded
+algorithm.
 
 The tree-wide arrival count backing p-hat is kept once on the tree and
 snapshotted per leaf at creation, so scoring a leaf is O(1) instead of
@@ -21,13 +22,6 @@ from dataclasses import dataclass
 from orf.core import InvariantViolation, majority
 
 
-@dataclass
-class InactiveLeafStats:
-    n_est_in_leaf: int = 0
-    n_errors: int = 0
-    est_tree_at_creation: int = 0  # tree-wide estimation count at creation
-
-
 @dataclass(frozen=True)
 class ActivationRecord:
     t: int
@@ -40,16 +34,16 @@ class ActivationRecord:
     best_other_created_at: int | None
 
 
-def score(stats: InactiveLeafStats,
+def score(stats: list[int],
           tree_total_est: int) -> tuple[float, float, float]:
-    """(s-hat, p-hat, e-hat) of an inactive leaf, s-hat = p-hat * e-hat.
+    """(s-hat, p-hat, e-hat) from a leaf's stats, s-hat = p-hat * e-hat.
 
     p-hat is the leaf's share of the tree's estimation points since the
     leaf was created; e-hat is its prequential error rate.
     """
-    lifetime = tree_total_est - stats.est_tree_at_creation
-    p = stats.n_est_in_leaf / max(1, lifetime)
-    e = stats.n_errors / max(1, stats.n_est_in_leaf)
+    n_est_in_leaf, n_errors, est_tree_at_creation = stats
+    p = n_est_in_leaf / max(1, tree_total_est - est_tree_at_creation)
+    e = n_errors / max(1, n_est_in_leaf)
     return p * e, p, e
 
 
@@ -73,9 +67,9 @@ class FringeState:
         prequentially, against the majority class as of the arrival.
         """
         stats = leaf.stats
-        stats.n_est_in_leaf += 1
+        stats[0] += 1  # n_est_in_leaf
         if y != majority(leaf.est):
-            stats.n_errors += 1
+            stats[1] += 1  # n_errors
 
     def on_leaf_split(self, tree, parent, left, right, t: int) -> None:
         """Retire a just-split leaf, enroll its children, refill capacity.
@@ -89,8 +83,7 @@ class FringeState:
             self.active_ids.update((left.node_id, right.node_id))
             return
         for child in (left, right):
-            child.stats = InactiveLeafStats(
-                est_tree_at_creation=tree.total_est_seen)
+            child.stats = [0, 0, tree.total_est_seen]
             self.inactive_ids.add(child.node_id)
         while len(self.active_ids) < capacity and self.inactive_ids:
             if self.activation_hook is not None:

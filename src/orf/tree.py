@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from orf.core import HyperParams, InvariantViolation, RngStream, \
     StreamAssignment, alpha, beta, is_int, is_number, majority
-from orf.fringe import FringeState, InactiveLeafStats
+from orf.fringe import FringeState
 
 class Leaf:
     """A leaf with its estimation counts: `est` per class, `n_est` in all.
@@ -50,7 +50,7 @@ class Leaf:
         self.candidate_dims = candidate_dims
         self.candidate_splits: list[list] = []  # candidate rows
         self.created_at = created_at
-        self.stats: InactiveLeafStats | None = None
+        self.stats: list[int] | None = None
 
 
 class InternalNode:
@@ -307,33 +307,40 @@ class OnlineTree:
                        "created_at": node.created_at,
                        "cands": [s[:-2] for s in node.candidate_splits]}
                 if node.stats is not None:
-                    st = node.stats
-                    doc["stats"] = [st.n_est_in_leaf, st.n_errors,
-                                    st.est_tree_at_creation]
+                    doc["stats"] = node.stats[:]
                 nodes.append(doc)
-        return {"n_features": self.n_features,
-                "n_classes": self.n_classes,
-                "total_est_seen": self.total_est_seen,
+        return {"total_est_seen": self.total_est_seen,
                 "rng": self.rng.get_state(),
                 "nodes": nodes}
 
     @classmethod
-    def from_doc(cls, doc: dict, params: HyperParams) -> "OnlineTree":
-        """Raises ValueError, naming the node, where an entry has the wrong
-        shape, type or range or a node but the root is not one split's child.
-        Integers are checked through sums, so true and false pass as 1, 0."""
-        for key in ("n_features", "n_classes", "total_est_seen"):
-            if not is_int(doc[key]):
-                raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
-        tree = cls(params, doc["n_features"], doc["n_classes"],
-                   RngStream.from_state(doc["rng"]), _empty=True)
+    def from_doc(cls, doc: dict, params: HyperParams, n_features: int,
+                 n_classes: int, rng: RngStream) -> "OnlineTree":
+        """The tree `to_doc` saved; the forest gives its shape and `rng` as
+        seeded, which moves to the saved position. Raises ValueError, naming
+        the node, where an entry has the wrong shape, type or range, a node
+        but the root is not the child of one earlier split, a leaf's depth
+        is not its parent's + 1, or more leaves are active than the fringe
+        capacity. Integers are checked through sums, so true and false pass
+        as 1, 0."""
+        if not is_int(doc["total_est_seen"]):
+            raise ValueError(f"total_est_seen must be an integer, "
+                             f"got {doc['total_est_seen']!r}")
+        rng.set_state(doc["rng"])
+        tree = cls(params, n_features, n_classes, rng, _empty=True)
         tree.total_est_seen = doc["total_est_seen"]
-        c, nf, n = doc["n_classes"], doc["n_features"], len(doc["nodes"])
+        c, nf, n = n_classes, n_features, len(doc["nodes"])
         lsrs, le, re = (slice(2 + a * c, 2 + b * c)
                         for a, b in ((0, 2), (2, 3), (3, 4)))
         dim_ids, left_ids = set(range(nf)), range(1, n - 1, 2)
+        if not n:
+            raise ValueError("a tree has no nodes")
         is_left = bytearray(n)  # children come in pairs (left, left + 1)
+        depths = [0] * n  # set by the parent split, which comes first
         for node_id, nd in enumerate(doc["nodes"]):
+            if node_id and not is_left[(node_id - 1) | 1]:  # its pair's left
+                raise ValueError(f"node {node_id}: no split has it as a child "
+                                 f"before it")
             if nd["kind"] == "split":
                 dim, thr, left, right = (nd["dim"], nd["threshold"],
                                          nd["left"], nd["right"])
@@ -346,6 +353,7 @@ class OnlineTree:
                 if not ok:
                     raise ValueError(f"node {node_id}: a split is malformed")
                 is_left[left] = 1
+                depths[left] = depths[right] = depths[node_id] + 1
                 tree.nodes.append(InternalNode(dim, thr, left, right))
                 continue
             active = "stats" not in nd
@@ -357,14 +365,15 @@ class OnlineTree:
                 n_est = sum(est)
                 ok = (type(sum(dims, sum(stats, n_est + nd["depth"]
                                          + nd["created_at"]))) is int
-                      and len(est) == c and dim_ids.issuperset(dims))
+                      and len(est) == c and dim_ids.issuperset(dims)
+                      and nd["depth"] == depths[node_id])
             except TypeError:
                 ok = False
             if not (ok and (active or type(stats) is list
                             and len(stats) == 3)):
                 raise ValueError(f"node {node_id}: a leaf is malformed")
-            leaf = Leaf(node_id, nd["depth"], list(est), n_est, list(dims),
-                        nd["created_at"])
+            leaf = Leaf(node_id, depths[node_id], list(est), n_est,
+                        list(dims), nd["created_at"])
             for row in nd["cands"]:
                 if type(row) is not list or len(row) != 2 + 4 * c:
                     raise ValueError(f"node {node_id}: a candidate row is not "
@@ -381,10 +390,10 @@ class OnlineTree:
             if active:
                 tree.fringe.active_ids.add(node_id)
             else:
-                leaf.stats = InactiveLeafStats(*stats)
+                leaf.stats = list(stats)
                 tree.fringe.inactive_ids.add(node_id)
             tree.nodes.append(leaf)
-        if 2 * is_left.count(1) + 1 != n:  # a pair of nodes has no parent
-            raise ValueError(f"node {2 * is_left[1::2].find(0) + 1}: no split "
-                             f"has it as a child" if n else "a tree has no nodes")
+        cap = params.fringe_capacity
+        if cap is not None and len(tree.fringe.active_ids) > cap:
+            raise ValueError(f"more than fringe_capacity {cap} leaves active")
         return tree

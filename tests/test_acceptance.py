@@ -178,10 +178,9 @@ def test_criterion_5d_fringe_capacity_and_argmax():
         snap = []
         for node in tr.nodes:
             if type(node) is Leaf and node.stats is not None:
-                st = node.stats
-                lifetime = tr.total_est_seen - st.est_tree_at_creation
-                p = st.n_est_in_leaf / max(1, lifetime)
-                e = st.n_errors / max(1, st.n_est_in_leaf)
+                n_in, n_err, created = node.stats
+                p = n_in / max(1, tr.total_est_seen - created)
+                e = n_err / max(1, n_in)
                 snap.append((-(p * e), node.created_at, node.node_id))
         snapshots.append(sorted(snap))
 

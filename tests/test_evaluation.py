@@ -198,6 +198,5 @@ class TestConsistencyReport:
         assert any("decreased" in f for f in audit.hard_failures)
 
     def test_missing_artifacts(self, tmp_path):
-        from orf.evaluation import MissingArtifacts
-        with pytest.raises(MissingArtifacts):
+        with pytest.raises(FileNotFoundError):
             load_run_artifacts(tmp_path)

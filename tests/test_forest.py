@@ -25,6 +25,16 @@ def grown_forest(num_trees=3, n=400, seed=101, **over):
     return forest
 
 
+def _child_before_parent(leaf):
+    """[leaf, split -> 3, leaf, split -> 1, leaf]: every node but the root
+    is one split's child, but node 1's parent comes after it, so nodes 1 to
+    4 hang in a cycle that the root, a leaf, cannot reach."""
+    split = {"kind": "split", "dim": 0, "threshold": 0.5}
+    return [{**leaf, "depth": 0}, {**split, "left": 3, "right": 4},
+            {**leaf, "depth": 0}, {**split, "left": 1, "right": 2},
+            {**leaf, "depth": 1}]
+
+
 class TestUpdate:
     def test_single_tree_forest_equals_tree(self):
         params = make_params(num_trees=1, m=3, master_seed=5)
@@ -206,7 +216,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r'^node \d+: "active"'):
             OnlineForest.from_doc(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 4, None])
+    @pytest.mark.parametrize("version", [1, 2, 3, 5, None])
     def test_rejects_other_versions(self, version):
         doc = grown_forest(num_trees=1).to_doc()
         doc["version"] = version
@@ -215,10 +225,14 @@ class TestSerialization:
 
     def test_leaf_layout(self):
         """A candidate is one row [dim, thr, *ls, *rs, *le, *re]; an
-        inactive leaf's stats are [n_est_in_leaf, n_errors,
-        est_tree_at_creation]."""
+        inactive leaf's stats, [n_est_in_leaf, n_errors,
+        est_tree_at_creation], are the same list in memory and on disk; a
+        tree stores its counter, RNG position and nodes, nothing else."""
         tree = grown_forest(num_trees=1, n=600, fringe_capacity=3).trees[0]
-        nodes = tree.to_doc()["nodes"]
+        doc = tree.to_doc()
+        assert list(doc) == ["total_est_seen", "rng", "nodes"]
+        assert doc["rng"] == tree.rng.get_state()
+        nodes = doc["nodes"]
         leaves_seen = inactive_seen = 0
         for leaf in leaves(tree):
             nd = nodes[leaf.node_id]
@@ -227,9 +241,9 @@ class TestSerialization:
                                    map(cand_fields, leaf.candidate_splits)]
             leaves_seen += bool(nd["cands"])
             if leaf.stats is not None:
-                st = leaf.stats
-                assert nd["stats"] == [st.n_est_in_leaf, st.n_errors,
-                                       st.est_tree_at_creation]
+                n_est_in_leaf, n_errors, _ = leaf.stats
+                assert n_errors <= n_est_in_leaf
+                assert nd["stats"] == leaf.stats
                 inactive_seen += 1
         assert leaves_seen and inactive_seen
 
@@ -293,44 +307,91 @@ class TestSerialization:
             OnlineForest.from_doc(doc)
 
     @pytest.mark.parametrize("key, value", [
-        ("t", "1"), ("n_features", 2.0), ("trees.n_classes", True),
-        ("trees.total_est_seen", None), ("n_classes", 3),
-        ("rng.entropy", 101.9), ("rng.entropy", True), ("rng.entropy", None),
-        ("rng.entropy", 2 ** 64), ("rng.spawn_key", [0.7]),
-        ("rng.spawn_key", [-1])])
+        ("t", "1"), ("n_features", 2.0), ("trees.total_est_seen", None),
+        ("n_classes", 3)])
     def test_rejects_mistyped_counter(self, key, value):
-        """A counter of the wrong type, a forest whose n_classes is not its
-        tree's, and an RNG state outside the seeds a tree can have."""
+        """A counter of the wrong type, and a forest whose n_classes is not
+        the length of its leaves' counts."""
         doc = grown_forest(num_trees=1).to_doc()
-        part = {"trees": doc["trees"][0],
-                "rng": doc["trees"][0]["rng"]}.get(key.split(".")[0], doc)
+        part = doc["trees"][0] if key.startswith("trees.") else doc
         part[key.split(".")[-1]] = value
-        rng_rule = (r"^rng entropy must be an integer in \[0, 2\*\*64\), "
-                    r"spawn_key a list of non-negative integers, got ")
-        match = {"n_classes": "^tree n_features or n_classes is not the "
-                              "forest's",
-                 "rng.entropy": rng_rule, "rng.spawn_key": rng_rule}
+        match = {"n_classes": r"^node \d+: a leaf is malformed"}
         with pytest.raises(ValueError, match=match.get(
                 key, f"^{key.split('.')[-1]} must be an integer")):
             OnlineForest.from_doc(doc)
 
+    @pytest.mark.parametrize("rng", [
+        [1.5, 0, 0], [-1, 0, 0], [2 ** 128, 0, 0], [2 ** 200, 0, 0],
+        [0, 2, 0], [0, True, 0], [0, 0, -1], [0, 0, 2 ** 32], [0, 0, 2 ** 40],
+        {"state": 0, "has_uint32": 0, "uinteger": 0}, [0, 0]],
+        ids=["state_float", "state_negative", "state_2**128", "state_2**200",
+             "has_uint32_2", "has_uint32_true", "uinteger_negative",
+             "uinteger_2**32", "uinteger_2**40", "not_a_list", "two_entries"])
+    def test_rejects_bad_rng_position(self, rng):
+        """A tree's "rng" is its PCG64 position [state, has_uint32,
+        uinteger]; one the generator cannot take is a ValueError."""
+        doc = grown_forest(num_trees=2).to_doc()
+        doc["trees"][1]["rng"] = rng
+        with pytest.raises(ValueError,
+                           match=r"^rng must be \[state < 2\*\*128, "):
+            OnlineForest.from_doc(doc)
+
+    def test_rng_position_bounds_load(self):
+        """The largest position of each kind loads, and tree i's stream is
+        the seed's child i moved to it."""
+        forest = grown_forest(num_trees=2)
+        doc = forest.to_doc()
+        doc["trees"][1]["rng"] = [2 ** 128 - 1, 1, 2 ** 32 - 1]
+        clone = OnlineForest.from_doc(doc)
+        assert clone.trees[1].rng.get_state() == doc["trees"][1]["rng"]
+        moved = RngStream(forest.params.master_seed).child(1)
+        moved.set_state(doc["trees"][1]["rng"])
+        assert clone.trees[1].rng.uniform() == moved.uniform()
+        assert clone.trees[0].rng.uniform() == forest.trees[0].rng.uniform()
+
     @pytest.mark.parametrize("spoil, match", [
         (lambda nodes: nodes[-1].update(kind="split"), "KeyError 'dim'"),
+        (lambda nodes: nodes.__setitem__(slice(None), _child_before_parent(
+            next(nd for nd in nodes if nd["kind"] == "leaf"))),
+         "^node 1: no split has it as a child before it"),
+        (lambda nodes: next(nd for nd in nodes if nd["kind"] == "leaf")
+         .update(depth=5), r"^node \d+: a leaf is malformed"),
         (lambda nodes: next(nd for nd in nodes[1:] if nd["kind"] == "split")
          .update(left=1, right=2), r"^node [1-9]\d*: a split is malformed"),
         (lambda nodes: nodes.append(dict(nodes[-1])),
          r"^node \d+: no split has it as a child"),
         (lambda nodes: nodes.clear(), "^a tree has no nodes"),
         (lambda nodes: nodes.__setitem__(0, []), "TypeError"),
-    ], ids=["leaf_kind_split", "second_parent", "orphan", "no_nodes",
-            "node_not_an_object"])
+    ], ids=["leaf_kind_split", "child_before_parent", "leaf_depth",
+            "second_parent", "orphan", "no_nodes", "node_not_an_object"])
     def test_rejects_broken_tree_structure(self, spoil, match):
-        """Every node but the root is the child of exactly one split, so
-        routing ends at a leaf; a missing key or a wrong container type is
-        a ValueError too."""
+        """Every node but the root is the child of exactly one split that
+        comes before it, so routing ends at a leaf, and a leaf's depth is
+        its parent's + 1; a missing key or a wrong container type is a
+        ValueError too."""
         doc = grown_forest(num_trees=1).to_doc()
         spoil(doc["trees"][0]["nodes"])
         with pytest.raises(ValueError, match=match):
+            OnlineForest.from_doc(doc)
+
+    def test_rejects_more_active_leaves_than_capacity(self):
+        """Loading must not leave a fringe over its capacity, which the
+        first split would find."""
+        doc = grown_forest(num_trees=1, n=600, fringe_capacity=3).to_doc()
+        active = sum(nd.get("active", False)
+                     for nd in doc["trees"][0]["nodes"])
+        assert active > 1
+        doc["params"]["fringe_capacity"] = active - 1
+        with pytest.raises(ValueError, match=f"^more than fringe_capacity "
+                                             f"{active - 1} leaves active"):
+            OnlineForest.from_doc(doc)
+
+    @pytest.mark.parametrize("n_trees", [0, 1, 3])
+    def test_rejects_tree_count_not_num_trees(self, n_trees):
+        doc = grown_forest(num_trees=2).to_doc()
+        doc["trees"] = (doc["trees"] * 2)[:n_trees]
+        with pytest.raises(ValueError,
+                           match=f"^{n_trees} trees, but num_trees is 2"):
             OnlineForest.from_doc(doc)
 
     def test_gzip_header(self):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import drive, leaves, make_params, synthetic_stream
 from orf.core import RngStream, StreamAssignment
-from orf.fringe import InactiveLeafStats, score
+from orf.fringe import score
 from orf.tree import InternalNode, Leaf, OnlineTree
 
 E, S = StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE
@@ -13,9 +13,7 @@ E, S = StreamAssignment.ESTIMATION, StreamAssignment.STRUCTURE
 def scored(in_leaf, errors, in_tree, created=1000):
     """score() of a leaf created when the tree had seen `created` points,
     after `in_tree` more arrived."""
-    st = InactiveLeafStats(n_est_in_leaf=in_leaf, n_errors=errors,
-                           est_tree_at_creation=created)
-    return score(st, created + in_tree)
+    return score([in_leaf, errors, created], created + in_tree)
 
 
 @pytest.mark.parametrize("in_leaf, errors, in_tree, expect", [
@@ -41,7 +39,7 @@ def test_s_hat_factors():
 class TestRecordArrival:
     def _leaf(self, counts):
         leaf = Leaf(0, 1, list(counts), sum(counts), [0], 0)
-        leaf.stats = InactiveLeafStats()
+        leaf.stats = [0, 0, 0]
         return leaf
 
     def _tree_stub(self):
@@ -57,8 +55,7 @@ class TestRecordArrival:
         tree = self._tree_stub()
         leaf = self._leaf(counts)
         tree.fringe.record_estimation_arrival(leaf, y)
-        assert leaf.stats.n_errors == expect_errors
-        assert leaf.stats.n_est_in_leaf == 1
+        assert leaf.stats == [1, expect_errors, 0]
 
 
 def grow_bounded_tree(capacity, n=900, seed=19, tree_seed=8):
@@ -84,9 +81,9 @@ class TestActivationPolicy:
         assert all(l.stats is not None for l in inactive)
         assert all(l.stats is None for l in active)
         for l in inactive:
-            st = l.stats
-            lifetime = tree.total_est_seen - st.est_tree_at_creation
-            assert st.n_errors <= st.n_est_in_leaf <= lifetime
+            n_est_in_leaf, n_errors, est_tree_at_creation = l.stats
+            lifetime = tree.total_est_seen - est_tree_at_creation
+            assert n_errors <= n_est_in_leaf <= lifetime
 
     def test_every_activation_is_argmax(self):
         """Independent shadow check: recompute s-hat over the leaves found by
@@ -102,10 +99,9 @@ class TestActivationPolicy:
             snap = []
             for node in tr.nodes:
                 if type(node) is Leaf and node.stats is not None:
-                    st = node.stats
-                    lifetime = tr.total_est_seen - st.est_tree_at_creation
-                    p = st.n_est_in_leaf / max(1, lifetime)
-                    e = st.n_errors / max(1, st.n_est_in_leaf)
+                    n_in, n_err, created = node.stats
+                    p = n_in / max(1, tr.total_est_seen - created)
+                    e = n_err / max(1, n_in)
                     snap.append((-(p * e), node.created_at, node.node_id,
                                  p, e))
             snapshots.append(sorted(snap))
@@ -136,7 +132,6 @@ class TestActivationPolicy:
         assert chosen.node_id < passed_over.node_id
 
     def test_score_tie_breaks_to_older_leaf(self):
-        from orf.fringe import InactiveLeafStats
         params = make_params(fringe_capacity=2)
         tree = OnlineTree(params, 1, 2, RngStream(3))
         tree.total_est_seen = 100
@@ -144,8 +139,7 @@ class TestActivationPolicy:
         for created_at in (7, 3):  # insertion order is not creation order
             leaf = Leaf(len(tree.nodes), 1, [0, 0], 0, [0], created_at)
             # identical scores: p-hat = 10/100, e-hat = 5/10
-            leaf.stats = InactiveLeafStats(n_est_in_leaf=10, n_errors=5,
-                                           est_tree_at_creation=0)
+            leaf.stats = [10, 5, 0]
             tree.nodes.append(leaf)
             tree.fringe.inactive_ids.add(leaf.node_id)
             leaves.append(leaf)

@@ -522,7 +522,8 @@ class TestSerialization:
             tree = new_tree(params, seed=77)
             drive(tree, stream[:500])
             doc = json.loads(json.dumps(tree.to_doc(), allow_nan=False))
-            clone = OnlineTree.from_doc(doc, params)
+            # the forest derives the shape and the seed; the doc moves it
+            clone = OnlineTree.from_doc(doc, params, 2, 2, RngStream(77))
             assert json.dumps(clone.to_doc()) == json.dumps(tree.to_doc())
             assert clone.split_count == tree.split_count == sum(
                 type(n) is InternalNode for n in tree.nodes)
