@@ -22,11 +22,15 @@ FOREST_VERSION = 4  # the only layout `from_doc` reads
 
 
 class OnlineForest:
-    def __init__(self, params: HyperParams, n_features: int, n_classes: int):
+    def __init__(self, params: HyperParams, n_features: int, n_classes: int,
+                 _empty: bool = False):
         self.params = params
         self.n_features = n_features
         self.n_classes = n_classes
         self.t = 0
+        if _empty:
+            self.trees: list[OnlineTree] = []
+            return
         root = RngStream(params.master_seed)
         self.trees = [OnlineTree(params, n_features, n_classes, root.child(i))
                       for i in range(params.num_trees)]
@@ -99,11 +103,12 @@ class OnlineForest:
             if len(doc["trees"]) != params.num_trees:
                 raise ValueError(f"{len(doc['trees'])} trees, but num_trees "
                                  f"is {params.num_trees}")
-            forest = cls(params, doc["n_features"], doc["n_classes"])
-            # tree i keeps the stream __init__ seeded, moved to its position
+            forest = cls(params, doc["n_features"], doc["n_classes"],
+                         _empty=True)
+            root = RngStream(params.master_seed)  # tree i's seed, as __init__
             forest.trees = [OnlineTree.from_doc(td, params, forest.n_features,
-                                                forest.n_classes, tree.rng)
-                            for td, tree in zip(doc["trees"], forest.trees)]
+                                                forest.n_classes, root.child(i))
+                            for i, td in enumerate(doc["trees"])]
         except (AttributeError, IndexError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed forest document: "
                              f"{type(exc).__name__} {exc}") from None

@@ -226,7 +226,7 @@ class TestSerialization:
     def test_leaf_layout(self):
         """A candidate is one row [dim, thr, *ls, *rs, *le, *re]; an
         inactive leaf's stats, [n_est_in_leaf, n_errors,
-        est_tree_at_creation], are the same list in memory and on disk; a
+        est_tree_at_creation], have the same layout in memory and on disk; a
         tree stores its counter, RNG position and nodes, nothing else."""
         tree = grown_forest(num_trees=1, n=600, fringe_capacity=3).trees[0]
         doc = tree.to_doc()
@@ -308,10 +308,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("key, value", [
         ("t", "1"), ("n_features", 2.0), ("trees.total_est_seen", None),
-        ("n_classes", 3)])
+        ("n_classes", 3), ("n_classes", 10 ** 13), ("n_classes", 2 ** 63)])
     def test_rejects_mistyped_counter(self, key, value):
         """A counter of the wrong type, and a forest whose n_classes is not
-        the length of its leaves' counts."""
+        the length of its leaves' counts, however large: the reader builds
+        nothing from the shape before it has checked a leaf against it."""
         doc = grown_forest(num_trees=1).to_doc()
         part = doc["trees"][0] if key.startswith("trees.") else doc
         part[key.split(".")[-1]] = value
