@@ -3,7 +3,8 @@
 A run directory holds curves.csv (one row per checkpoint), splits.csv (one
 row per split), activations.csv (one row per fringe activation), run.json
 (per-tree counters the offline audit needs) and forest.json.gz. CSV bytes
-are a pure function of config + master seed.
+are a pure function of config + master seed, never of the process count:
+`run_all` forks min(runs, usable CPUs) workers, and none if 1 or no fork.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ import csv
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import pathlib
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from orf.core import (RESERVED_CHILD_INDICES, HyperParams,
@@ -285,6 +288,23 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
     return RunResult(run_dir=run_dir, checkpoints=cp_records)
 
 
+def _usable_cpus() -> int:
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _run(config: ExperimentConfig, ctx: DataContext, r: int) -> RunResult:
+    # pickled by name, so a worker calls the `run_experiment` it has
+    return run_experiment(config, ctx, r)
+
+
 def run_all(config: ExperimentConfig) -> list[RunResult]:
     ctx = load_data(config)
-    return [run_experiment(config, ctx, r) for r in range(config.runs)]
+    n, jobs = config.runs, min(config.runs, _usable_cpus())
+    if jobs == 1:
+        return [run_experiment(config, ctx, r) for r in range(n)]
+    fork = multiprocessing.get_context("fork")  # spawn re-runs __main__
+    with ProcessPoolExecutor(jobs, mp_context=fork) as pool:
+        return list(pool.map(_run, [config] * n, [ctx] * n, range(n)))

@@ -1,17 +1,24 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import tempfile
+import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import orf.experiment
 from conftest import MOG_SPEC, make_params, tiny_config_doc, write_config
 from orf.cli import main
+from orf.core import InvariantViolation
 from orf.evaluation import SPLITS_COLUMNS
 from orf.experiment import (ConfigError, DataError, ExperimentConfig,
                             LibsvmSource, MogSource, load_data, run_all)
@@ -102,6 +109,19 @@ class TestDataErrors:
             load_data(cfg)
 
 
+ARTIFACTS = ("curves.csv", "splits.csv", "activations.csv", "forest.json.gz")
+
+
+def libsvm_config_doc(tmp_path, **over):
+    train = tmp_path / "train.libsvm"
+    train.write_text("".join(
+        f"{i % 3} 1:{(i * 37 % 100) / 100} 2:{(i * 53 % 100) / 100}\n"
+        for i in range(60)))
+    return tiny_config_doc(
+        data={"kind": "libsvm", "train": str(train), "test": str(train)},
+        checkpoints=[30], passes=2, **over)
+
+
 class TestRunAll:
     def test_artifacts_and_byte_identical_reruns(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -109,17 +129,13 @@ class TestRunAll:
         for attempt in range(3):
             out = tmp_path / f"out{attempt}"
             cfg = ExperimentConfig.load(cfg_path)
-            import dataclasses
             cfg = dataclasses.replace(cfg, out_dir=str(out))
             run_all(cfg)
             run_dir = out / "run00"
-            names = ["curves.csv", "splits.csv", "activations.csv",
-                     "forest.json.gz", "run.json"]
-            assert all((run_dir / n).exists() for n in names)
-            blobs[attempt] = {
-                n: (run_dir / n).read_bytes()
-                for n in ["curves.csv", "splits.csv", "activations.csv",
-                          "forest.json.gz"]}
+            assert all((run_dir / n).exists()
+                       for n in ARTIFACTS + ("run.json",))
+            blobs[attempt] = {n: (run_dir / n).read_bytes()
+                              for n in ARTIFACTS}
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_curves_have_bayes_column_for_mog(self, tmp_path):
@@ -132,15 +148,8 @@ class TestRunAll:
         assert all(r.split(",")[idx] for r in rows)
 
     def test_libsvm_curves_leave_bayes_empty(self, tmp_path):
-        train = tmp_path / "train.libsvm"
-        lines = [f"{i % 3} 1:{(i * 37 % 100) / 100} 2:{(i * 53 % 100) / 100}"
-                 for i in range(60)]
-        train.write_text("\n".join(lines) + "\n")
-        doc = tiny_config_doc(
-            data={"kind": "libsvm", "train": str(train), "test": str(train)},
-            checkpoints=[30], passes=2)
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(libsvm_config_doc(tmp_path)))
         cfg = ExperimentConfig.load(path)
         run_all(cfg)
         header, *rows = (pathlib.Path(cfg.out_dir) / "run00" /
@@ -428,6 +437,110 @@ class TestCli:
         err = capsys.readouterr().err
         assert "nested too deeply" in err
         assert len(err.splitlines()) == 1
+
+
+
+class TestRunsInProcesses:
+    """A job's runs train in worker processes; the bytes are those of one
+    `runs: 1` job per run, at master seed + r."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(orf.experiment, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("kind, runs", [("mog", 3), ("libsvm", 2)])
+    def test_bytes_match_single_runs(self, tmp_path, monkeypatch, two_cpus,
+                                     kind, runs):
+        doc = (tiny_config_doc(runs=runs) if kind == "mog"
+               else libsvm_config_doc(tmp_path, runs=runs))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        cfg = ExperimentConfig.load(path)
+        real = orf.experiment.run_experiment
+
+        def recording(config, ctx, r):
+            (tmp_path / f"pid{r}").write_text(str(os.getpid()))
+            return real(config, ctx, r)
+        monkeypatch.setattr(orf.experiment, "run_experiment", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fork from a threaded process
+            results = run_all(dataclasses.replace(
+                cfg, out_dir=str(tmp_path / "multi")))
+        assert multiprocessing.active_children() == []
+        pids = {int((tmp_path / f"pid{r}").read_text()) for r in range(runs)}
+        assert os.getpid() not in pids
+        assert [res.run_dir.name for res in results] == \
+            [f"run{r:02d}" for r in range(runs)]
+        seed = cfg.hyperparams.master_seed
+        for r in range(runs):
+            single = dataclasses.replace(
+                cfg, runs=1, out_dir=str(tmp_path / f"single{r}"),
+                hyperparams=dataclasses.replace(cfg.hyperparams,
+                                                master_seed=seed + r))
+            [alone] = run_all(single)
+            assert results[r].checkpoints == alone.checkpoints
+            for name in ARTIFACTS:
+                assert (results[r].run_dir / name).read_bytes() == \
+                    (alone.run_dir / name).read_bytes(), (r, name)
+
+    @pytest.mark.parametrize("error, code", [
+        (InvariantViolation("boom"), 4), (ConfigError("boom"), 2),
+        (DataError("boom"), 3), (OSError(28, "boom"), 5)])
+    def test_failing_worker_keeps_exit_code(self, tmp_path, capsys,
+                                            monkeypatch, two_cpus, error,
+                                            code):
+        real = orf.experiment._write_csv
+
+        def failing(path, columns, rows):
+            if path.parent.name == "run01":
+                raise error
+            real(path, columns, rows)
+        monkeypatch.setattr(orf.experiment, "_write_csv", failing)
+        cfg = write_config(tmp_path, runs=2)
+        assert main(["train", "--config", str(cfg)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "boom" in err
+        assert (tmp_path / "out" / "run00" / "run.json").exists()
+        assert (tmp_path / "out" / "run01").is_dir()
+        assert not (tmp_path / "out" / "run01" / "run.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_run_wins(self, tmp_path, capsys, monkeypatch,
+                                    two_cpus):
+        """run00 fails only after run01 has failed, and its error is the
+        one reported, as in a loop over the runs."""
+        failed = tmp_path / "run01.failed"
+
+        def failing(path, columns, rows):
+            if path.parent.name == "run01":
+                failed.touch()
+                raise DataError("run01")
+            deadline = time.monotonic() + 30
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise InvariantViolation("run00")
+        monkeypatch.setattr(orf.experiment, "_write_csv", failing)
+        cfg = write_config(tmp_path, runs=2)
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == "invariant violation: run00\n"
+        assert failed.exists()
+
+    def test_one_usable_cpu_stays_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(orf.experiment.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        monkeypatch.setattr(orf.experiment, "ProcessPoolExecutor", None)
+        assert orf.experiment._usable_cpus() == 1
+        assert len(run_all(ExperimentConfig.load(
+            write_config(tmp_path, runs=2)))) == 2
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.delattr(orf.experiment.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(orf.experiment.os, "cpu_count", lambda: 3)
+        assert orf.experiment._usable_cpus() == 3
+        monkeypatch.setattr(orf.experiment.multiprocessing,
+                            "get_all_start_methods", lambda: ["spawn"])
+        assert orf.experiment._usable_cpus() == 1
 
 
 # A small valid config; the fuzz test below mutates its keys.
