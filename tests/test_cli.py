@@ -439,7 +439,6 @@ class TestCli:
         assert len(err.splitlines()) == 1
 
 
-
 class TestRunsInProcesses:
     """A job's runs train in worker processes; the bytes are those of one
     `runs: 1` job per run, at master seed + r."""
