@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes:
   train        0=ok 2=bad or unreadable config 3=bad, missing or unreadable
-               data 4=invariant violation 5=cannot write artifacts
+               data 4=invariant violation 5=cannot write artifacts 6=a
+               worker process died
   diagnose     0=pass 1=invariant failure 3=missing or malformed artifacts
   parse-check  0=valid 1=malformed 3=missing file
 """
@@ -19,6 +20,7 @@ import csv
 import dataclasses
 import pathlib
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from orf.core import InvariantViolation
 from orf.data import ParseError, parse_libsvm
@@ -54,6 +56,10 @@ def cmd_train(args) -> int:
         # writing a file in it
         print(f"cannot write artifacts: {exc}", file=sys.stderr)
         return 5
+    except BrokenProcessPool as exc:
+        # killed, say, or out of memory; its run has no run.json
+        print(f"worker process died: {exc}", file=sys.stderr)
+        return 6
     for res in results:
         last = res.checkpoints[-1]
         line = (f"run {res.run_dir.name}: t={last.t} "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import pathlib
 import statistics
 from dataclasses import dataclass, field, fields
@@ -48,20 +49,26 @@ def evaluate(forest: OnlineForest, test_points):
     """Holdout accuracy of the forest vote and of every tree."""
     if not test_points:
         raise ValueError("empty test set")
-    n_classes = forest.n_classes
-    tree_hits = [0] * len(forest.trees)
+    return vote_accuracy(
+        [[tree.predict_class(p.x) for p in test_points]
+         for tree in forest.trees],
+        [p.y for p in test_points], forest.n_classes)
+
+
+def vote_accuracy(predictions, labels, n_classes: int):
+    """Holdout accuracy of the majority vote and of every tree, from the
+    class each tree predicts for each test point: one list per tree, in
+    tree order."""
     forest_hits = 0
-    for p in test_points:
+    for y, votes in zip(labels, zip(*predictions)):
         counts = [0] * n_classes
-        for i, tree in enumerate(forest.trees):
-            pred = tree.predict_class(p.x)
-            counts[pred] += 1
-            if pred == p.y:
-                tree_hits[i] += 1
-        if majority(counts) == p.y:
+        for v in votes:
+            counts[v] += 1
+        if majority(counts) == y:
             forest_hits += 1
-    n = len(test_points)
-    return forest_hits / n, [h / n for h in tree_hits]
+    n = len(labels)
+    return forest_hits / n, [sum(map(operator.eq, preds, labels)) / n
+                             for preds in predictions]
 
 
 def clip_box_from_points(points, margin: float = 0.1):
@@ -79,13 +86,24 @@ def clip_box_from_points(points, margin: float = 0.1):
 def probe_stats(forest, probes, clip_box):
     """Median clipped diameter and min/median estimation count over all
     (probe point, tree) pairs."""
-    diams = []
-    est_counts = []
+    return probe_summary([probe_cells(tree, probes, clip_box)
+                          for tree in forest.trees])
+
+
+def probe_cells(tree, probes, clip_box) -> list[tuple[float, int]]:
+    """(clipped cell diameter, leaf n_est) at each probe point."""
+    cells = []
     for x in probes:
-        for tree in forest.trees:
-            leaf, diameter = tree.cell_diameter(x, clip_box)
-            diams.append(diameter)
-            est_counts.append(leaf.n_est)
+        leaf, diameter = tree.cell_diameter(x, clip_box)
+        cells.append((diameter, leaf.n_est))
+    return cells
+
+
+def probe_summary(cells):
+    """`probe_stats` from each tree's `probe_cells`; the medians sort, so
+    the order of the pairs does not matter."""
+    diams = [d for tree in cells for d, _ in tree]
+    est_counts = [n for tree in cells for _, n in tree]
     return (statistics.median(diams), min(est_counts),
             statistics.median(est_counts))
 

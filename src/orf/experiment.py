@@ -2,9 +2,15 @@
 
 A run directory holds curves.csv (one row per checkpoint), splits.csv (one
 row per split), activations.csv (one row per fringe activation), run.json
-(per-tree counters the offline audit needs) and forest.json.gz. CSV bytes
-are a pure function of config + master seed, never of the process count:
-`run_all` forks min(runs, usable CPUs) workers, and none if 1 or no fork.
+(per-tree counters the offline audit needs) and forest.json.gz. Their
+bytes are a pure function of config + master seed, never of the process
+count. Every tree draws from its own stream, so `run_all` splits each
+run's trees into J = max(1, min(num_trees, usable CPUs // runs)) shards
+and trains the (run, shard) units in forked workers, none if only one
+CPU is usable or there is no fork. A shard draws its run's data again
+from the seed and hands back per-tree rows, counters, test predictions,
+probe cells and tree documents; `write_run` puts them in the order of one
+process and writes the artifacts, in the worker when J = 1.
 """
 
 from __future__ import annotations
@@ -27,8 +33,8 @@ from orf.data import (Dataset, MixtureOfGaussians, ParseError, align_pair,
                       parse_libsvm, stream_schedule)
 from orf.evaluation import (ACTIVATIONS_COLUMNS, CURVES_COLUMNS,
                             SPLITS_COLUMNS, Checkpoint, clip_box_from_points,
-                            evaluate, probe_stats)
-from orf.forest import OnlineForest
+                            probe_cells, probe_summary, vote_accuracy)
+from orf.forest import OnlineForest, forest_bytes, tree_text
 
 
 class ConfigError(ValueError):
@@ -171,6 +177,28 @@ class RunResult:
     checkpoints: list[Checkpoint]
 
 
+@dataclass
+class TreeCheckpoint:
+    """One tree at one checkpoint, as its shard hands it to `write_run`."""
+    splits: list[tuple]       # splits.csv rows since the last checkpoint
+    activations: list[tuple]  # activations.csv rows since then
+    counters: dict            # the tree's entry in run.json
+    predictions: list[int]    # the class it predicts for each test point
+    probes: list[tuple[float, int]]  # `probe_cells` at the probe points
+
+
+@dataclass
+class Shard:
+    """Trees i = j (mod J) of one run, trained on the run's whole stream."""
+    started: float  # time.monotonic() when the shard began
+    bayes_accuracy: float | None
+    clip_box: list[tuple[float, float]]
+    labels: list[int]  # the test points' classes
+    ts: list[int]      # the checkpoints
+    trees: list[list[TreeCheckpoint]]  # per checkpoint, per tree
+    texts: list[str]   # each tree's document, from `tree_text`
+
+
 def _event_rows(records, tree: int, columns) -> list[tuple]:
     return [(r.t, tree) + tuple(getattr(r, c) for c in columns[2:])
             for r in records]
@@ -185,12 +213,24 @@ def _write_csv(path, columns, rows):
     write_atomic(path, buf.getvalue().encode())
 
 
-def run_experiment(config: ExperimentConfig, ctx: DataContext,
-                   run_index: int) -> RunResult:
-    t_start = time.monotonic()
-    seed = config.hyperparams.master_seed + run_index
-    params = dataclasses.replace(config.hyperparams, master_seed=seed)
-    root = RngStream(seed)
+def _run_params(config: ExperimentConfig, run_index: int) -> HyperParams:
+    return dataclasses.replace(
+        config.hyperparams,
+        master_seed=config.hyperparams.master_seed + run_index)
+
+
+def _run_dir(config: ExperimentConfig, run_index: int) -> pathlib.Path:
+    return pathlib.Path(config.out_dir) / f"run{run_index:02d}"
+
+
+def train_shard(config: ExperimentConfig, ctx: DataContext, run_index: int,
+                shard: int = 0, shards: int = 1) -> Shard:
+    """Train trees i = shard (mod shards) of run `run_index`. The run's
+    stream, test points and probes are drawn again from its seed, so every
+    shard sees the same ones and a tree's bytes never depend on `shards`."""
+    started = time.monotonic()
+    params = _run_params(config, run_index)
+    root = RngStream(params.master_seed)
     data_rng = root.child(RESERVED_CHILD_INDICES)
     probe_rng = root.child(RESERVED_CHILD_INDICES + 1)
     test_rng = root.child(RESERVED_CHILD_INDICES + 2)
@@ -221,49 +261,80 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
 
     clip_box = clip_box_from_points(stream[:config.clip_sample],
                                     config.clip_margin)
-    forest = OnlineForest(params, ctx.n_features, ctx.n_classes)
-
-    run_dir = pathlib.Path(config.out_dir) / f"run{run_index:02d}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    split_rows, act_rows = [], []
-    cp_records = []
-    summary = []
+    tree_ids = range(shard, params.num_trees, shards)
+    forest = OnlineForest(params, ctx.n_features, ctx.n_classes, tree_ids)
+    _run_dir(config, run_index).mkdir(parents=True, exist_ok=True)
+    xs = [p.x for p in test_points]
+    per_cp = []
     pos = 0
     for cp in checkpoints:
         forest.update_stream(stream[pos:cp])
         pos = cp
         per_tree = []
-        for i, tree in enumerate(forest.trees):
-            splits, acts = tree.drain_events()
-            split_rows += _event_rows(splits, i, SPLITS_COLUMNS)
-            act_rows += _event_rows(acts, i, ACTIVATIONS_COLUMNS)
-            per_tree.append({"splits": tree.split_count,
-                             "est_seen": tree.total_est_seen,
-                             "active": len(tree.fringe.active_ids),
-                             "inactive": len(tree.fringe.inactive_ids)})
+        for i, tree in zip(tree_ids, forest.trees):
             # the fringe checks its capacity itself, after every refill
             budget = split_budget(params, tree.total_est_seen)
             if tree.split_count > budget:
                 raise InvariantViolation(
                     f"split budget: tree {i} at t={cp} has "
                     f"{tree.split_count} splits > {budget:.2f}")
-        forest_acc, tree_accs = evaluate(forest, test_points)
+            splits, acts = tree.drain_events()
+            per_tree.append(TreeCheckpoint(
+                _event_rows(splits, i, SPLITS_COLUMNS),
+                _event_rows(acts, i, ACTIVATIONS_COLUMNS),
+                {"splits": tree.split_count,
+                 "est_seen": tree.total_est_seen,
+                 "active": len(tree.fringe.active_ids),
+                 "inactive": len(tree.fringe.inactive_ids)},
+                [tree.predict_class(x) for x in xs],
+                probe_cells(tree, probes, clip_box)))
+        per_cp.append(per_tree)
+    return Shard(started, bayes_accuracy, clip_box,
+                 [p.y for p in test_points], checkpoints, per_cp,
+                 [tree_text(tree) for tree in forest.trees])
+
+
+def write_run(config: ExperimentConfig, ctx: DataContext, run_index: int,
+              shards: list[Shard]) -> RunResult:
+    """Run `run_index`'s artifacts from its shards, shard j holding trees
+    i = j (mod len(shards)): the rows are in the order one shard of all
+    the trees gives."""
+    params = _run_params(config, run_index)
+    first = shards[0]
+
+    def in_tree_order(per_shard):
+        return [per_shard[i % len(shards)][i // len(shards)]
+                for i in range(params.num_trees)]
+
+    split_rows, act_rows = [], []
+    cp_records = []
+    summary = []
+    for k, cp in enumerate(first.ts):
+        per_tree = in_tree_order([s.trees[k] for s in shards])
+        for tr in per_tree:
+            split_rows += tr.splits
+            act_rows += tr.activations
+        forest_acc, tree_accs = vote_accuracy(
+            [tr.predictions for tr in per_tree], first.labels, ctx.n_classes)
         mean_acc = sum_in_order(tree_accs) / len(tree_accs)
         std_acc = (sum_in_order((a - mean_acc) ** 2 for a in tree_accs)
                    / len(tree_accs)) ** 0.5
-        med_diam, min_est, med_est = probe_stats(forest, probes, clip_box)
+        med_diam, min_est, med_est = probe_summary(
+            [tr.probes for tr in per_tree])
+        counters = [tr.counters for tr in per_tree]
         cp_records.append(Checkpoint(
             t=cp, forest_accuracy=forest_acc, mean_tree_accuracy=mean_acc,
-            std_tree_accuracy=std_acc, bayes_accuracy=bayes_accuracy,
-            split_count=sum(tr["splits"] for tr in per_tree),
-            active_leaves=sum(tr["active"] for tr in per_tree),
-            inactive_leaves=sum(tr["inactive"] for tr in per_tree),
+            std_tree_accuracy=std_acc, bayes_accuracy=first.bayes_accuracy,
+            split_count=sum(tr["splits"] for tr in counters),
+            active_leaves=sum(tr["active"] for tr in counters),
+            inactive_leaves=sum(tr["inactive"] for tr in counters),
             median_diameter=med_diam, min_est_count=min_est,
             median_est_count=med_est))
-        summary.append({"t": cp, "per_tree": per_tree})
+        summary.append({"t": cp, "per_tree": counters})
 
     split_rows.sort(key=lambda r: (r[0], r[1]))
     act_rows.sort(key=lambda r: (r[0], r[1]))
+    run_dir = _run_dir(config, run_index)  # the shards made it
     # every artifact is renamed into place once complete, and run.json goes
     # last: a run directory without it is unfinished and fails `diagnose`
     (run_dir / "run.json").unlink(missing_ok=True)
@@ -271,21 +342,31 @@ def run_experiment(config: ExperimentConfig, ctx: DataContext,
                [dataclasses.astuple(r) for r in cp_records])
     _write_csv(run_dir / "splits.csv", SPLITS_COLUMNS, split_rows)
     _write_csv(run_dir / "activations.csv", ACTIVATIONS_COLUMNS, act_rows)
-    forest.save(run_dir / "forest.json.gz")
+    write_atomic(run_dir / "forest.json.gz", forest_bytes(
+        params, ctx.n_features, ctx.n_classes, first.ts[-1],
+        in_tree_order([s.texts for s in shards])))
     run_doc = {
         "run_index": run_index,
-        "seed": seed,
+        "seed": params.master_seed,
         "params": params.to_json(),
         "n_features": ctx.n_features,
         "n_classes": ctx.n_classes,
-        "bayes_accuracy": bayes_accuracy,
-        "clip_box": [[lo, hi] for lo, hi in clip_box],
+        "bayes_accuracy": first.bayes_accuracy,
+        "clip_box": [[lo, hi] for lo, hi in first.clip_box],
         "checkpoints": summary,
-        "runtime_sec": round(time.monotonic() - t_start, 3),
+        "runtime_sec": round(
+            time.monotonic() - min(s.started for s in shards), 3),
     }
     write_atomic(run_dir / "run.json",
                  (json.dumps(run_doc, indent=1) + "\n").encode())
     return RunResult(run_dir=run_dir, checkpoints=cp_records)
+
+
+def run_experiment(config: ExperimentConfig, ctx: DataContext,
+                   run_index: int) -> RunResult:
+    """Run `run_index` in this process: all its trees, then its artifacts."""
+    return write_run(config, ctx, run_index,
+                     [train_shard(config, ctx, run_index)])
 
 
 def _usable_cpus() -> int:
@@ -295,16 +376,30 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run(config: ExperimentConfig, ctx: DataContext, r: int) -> RunResult:
-    # pickled by name, so a worker calls the `run_experiment` it has
-    return run_experiment(config, ctx, r)
+def _unit(config: ExperimentConfig, ctx: DataContext, r: int, shard: int,
+          shards: int):
+    # pickled by name, so a worker calls the functions it has
+    if shards == 1:
+        return run_experiment(config, ctx, r)
+    return train_shard(config, ctx, r, shard, shards)
 
 
 def run_all(config: ExperimentConfig) -> list[RunResult]:
+    """Every run of the job (see the module docstring). With J > 1 a run's
+    artifacts are written here once its last shard is in; the error raised
+    is that of the first failing unit in (run, shard) order."""
     ctx = load_data(config)
-    n, jobs = config.runs, min(config.runs, _usable_cpus())
-    if jobs == 1:
-        return [run_experiment(config, ctx, r) for r in range(n)]
+    runs, cpus = config.runs, _usable_cpus()
+    shards = max(1, min(config.hyperparams.num_trees, cpus // runs))
+    if cpus == 1 or runs * shards == 1:
+        return [run_experiment(config, ctx, r) for r in range(runs)]
+    units = [(r, j) for r in range(runs) for j in range(shards)]
+    n = len(units)
     fork = multiprocessing.get_context("fork")  # spawn re-runs __main__
-    with ProcessPoolExecutor(jobs, mp_context=fork) as pool:
-        return list(pool.map(_run, [config] * n, [ctx] * n, range(n)))
+    with ProcessPoolExecutor(min(n, cpus), mp_context=fork) as pool:
+        done = pool.map(_unit, [config] * n, [ctx] * n, *zip(*units),
+                        [shards] * n)
+        if shards == 1:
+            return list(done)
+        return [write_run(config, ctx, r, [next(done) for _ in range(shards)])
+                for r in range(runs)]

@@ -23,17 +23,18 @@ FOREST_VERSION = 4  # the only layout `from_doc` reads
 
 class OnlineForest:
     def __init__(self, params: HyperParams, n_features: int, n_classes: int,
-                 _empty: bool = False):
+                 tree_ids=None):
+        """Fresh trees: tree i grows from child i of the master seed's
+        stream. `tree_ids` picks which (all of them if None): a shard of a
+        run's trees, or none for a reader that brings its own."""
         self.params = params
         self.n_features = n_features
         self.n_classes = n_classes
         self.t = 0
-        if _empty:
-            self.trees: list[OnlineTree] = []
-            return
         root = RngStream(params.master_seed)
+        ids = range(params.num_trees) if tree_ids is None else tree_ids
         self.trees = [OnlineTree(params, n_features, n_classes, root.child(i))
-                      for i in range(params.num_trees)]
+                      for i in ids]
 
     # -- training -----------------------------------------------------------
 
@@ -76,14 +77,8 @@ class OnlineForest:
 
     # -- serialization ----------------------------------------------------------
 
-    def _head(self) -> dict:
-        """The document without its trees; "trees" is its last key."""
-        return {"format": FOREST_FORMAT, "version": FOREST_VERSION,
-                "params": self.params.to_json(), "n_features": self.n_features,
-                "n_classes": self.n_classes, "t": self.t, "trees": []}
-
     def to_doc(self) -> dict:
-        return {**self._head(),
+        return {**_head(self.params, self.n_features, self.n_classes, self.t),
                 "trees": [tree.to_doc() for tree in self.trees]}
 
     @classmethod
@@ -104,7 +99,7 @@ class OnlineForest:
                 raise ValueError(f"{len(doc['trees'])} trees, but num_trees "
                                  f"is {params.num_trees}")
             forest = cls(params, doc["n_features"], doc["n_classes"],
-                         _empty=True)
+                         tree_ids=())
             root = RngStream(params.master_seed)  # tree i's seed, as __init__
             forest.trees = [OnlineTree.from_doc(td, params, forest.n_features,
                                                 forest.n_classes, root.child(i))
@@ -119,17 +114,8 @@ class OnlineForest:
         """Canonical gzip-compressed JSON; equal forests give equal bytes.
         The text is `to_doc`'s, written tree by tree: a save holds one
         tree's document at a time."""
-        dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
-        buf = io.BytesIO()
-        # GzipFile, not gzip.compress: its OS byte is ff on every Python
-        with _gc_paused(), gzip.GzipFile(fileobj=buf, mode="wb",
-                                         compresslevel=6, mtime=0) as zf:
-            zf.write(dumps(self._head())[:-2].encode())  # to "trees":[
-            for i, tree in enumerate(self.trees):
-                zf.write(b"," if i else b"")
-                zf.write(dumps(tree.to_doc()).encode())
-            zf.write(b"]}")
-        return buf.getvalue()
+        return forest_bytes(self.params, self.n_features, self.n_classes,
+                            self.t, map(tree_text, self.trees))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "OnlineForest":
@@ -149,6 +135,39 @@ class OnlineForest:
     def load(cls, path) -> "OnlineForest":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def _head(params: HyperParams, n_features: int, n_classes: int,
+          t: int) -> dict:
+    """The document without its trees; "trees" is its last key."""
+    return {"format": FOREST_FORMAT, "version": FOREST_VERSION,
+            "params": params.to_json(), "n_features": n_features,
+            "n_classes": n_classes, "t": t, "trees": []}
+
+
+def tree_text(tree: OnlineTree) -> str:
+    """The tree's document as the forest document holds it."""
+    return _dumps(tree.to_doc())
+
+
+def forest_bytes(params: HyperParams, n_features: int, n_classes: int,
+                 t: int, tree_texts) -> bytes:
+    """The bytes `to_bytes` gives for a forest whose trees, in order, have
+    the documents `tree_texts` (from `tree_text`), written as they come."""
+    buf = io.BytesIO()
+    # GzipFile, not gzip.compress: its OS byte is ff on every Python
+    with _gc_paused(), gzip.GzipFile(fileobj=buf, mode="wb",
+                                     compresslevel=6, mtime=0) as zf:
+        zf.write(_dumps(_head(params, n_features, n_classes, t))[:-2]
+                 .encode())  # to "trees":[
+        for i, text in enumerate(tree_texts):
+            zf.write(b"," if i else b"")
+            zf.write(text.encode())
+        zf.write(b"]}")
+    return buf.getvalue()
 
 
 @contextlib.contextmanager

@@ -314,15 +314,14 @@ class TestCli:
                                                monkeypatch):
         """A save that fails mid-run leaves no partial file under a final
         name and no run.json, so `diagnose` reports missing artifacts."""
-        from orf.forest import OnlineForest
-
-        def failing_to_bytes(forest):
+        def failing_forest_bytes(*args):
             raise OSError("disk full")
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg)]) == 0
         run_dir = tmp_path / "out" / "run00"
         before = {f.name: f.read_bytes() for f in run_dir.iterdir()}
-        monkeypatch.setattr(OnlineForest, "to_bytes", failing_to_bytes)
+        monkeypatch.setattr(orf.experiment, "forest_bytes",
+                            failing_forest_bytes)
         assert main(["train", "--config", str(cfg), "--seed", "8"]) == 5
         assert "cannot write artifacts: disk full" in capsys.readouterr().err
         names = sorted(f.name for f in run_dir.iterdir())
@@ -440,38 +439,43 @@ class TestCli:
 
 
 class TestRunsInProcesses:
-    """A job's runs train in worker processes; the bytes are those of one
-    `runs: 1` job per run, at master seed + r."""
+    """A job trains its (run, tree shard) units in worker processes; the
+    bytes are those of one `runs: 1` job per run, at master seed + r,
+    trained in this process."""
 
     @pytest.fixture
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(orf.experiment, "_usable_cpus", lambda: 2)
+    def cpus(self, monkeypatch):
+        def force(n):
+            monkeypatch.setattr(orf.experiment, "_usable_cpus", lambda: n)
+        return force
 
-    @pytest.mark.parametrize("kind, runs", [("mog", 3), ("libsvm", 2)])
-    def test_bytes_match_single_runs(self, tmp_path, monkeypatch, two_cpus,
-                                     kind, runs):
-        doc = (tiny_config_doc(runs=runs) if kind == "mog"
-               else libsvm_config_doc(tmp_path, runs=runs))
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps(doc))
-        cfg = ExperimentConfig.load(path)
-        real = orf.experiment.run_experiment
+    @pytest.fixture
+    def two_cpus(self, cpus):
+        cpus(2)
 
-        def recording(config, ctx, r):
-            (tmp_path / f"pid{r}").write_text(str(os.getpid()))
-            return real(config, ctx, r)
-        monkeypatch.setattr(orf.experiment, "run_experiment", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a fork from a threaded process
-            results = run_all(dataclasses.replace(
-                cfg, out_dir=str(tmp_path / "multi")))
-        assert multiprocessing.active_children() == []
-        pids = {int((tmp_path / f"pid{r}").read_text()) for r in range(runs)}
-        assert os.getpid() not in pids
+    @pytest.fixture
+    def shard_pids(self, tmp_path, monkeypatch):
+        """Each shard leaves the pid that trained it in a file named
+        `run-shard-shards`; the fixture reads them back."""
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        real = orf.experiment.train_shard
+
+        def recording(config, ctx, r, shard=0, shards=1):
+            (pids / f"{r}-{shard}-{shards}").write_text(str(os.getpid()))
+            return real(config, ctx, r, shard, shards)
+        monkeypatch.setattr(orf.experiment, "train_shard", recording)
+        return lambda: {p.name: int(p.read_text()) for p in pids.iterdir()}
+
+    @staticmethod
+    def check_against_single_runs(cfg, results, tmp_path, cpus):
+        """Each run's artifacts and checkpoints are those of a `runs: 1` job
+        at master seed + r, trained in this process on one CPU."""
         assert [res.run_dir.name for res in results] == \
-            [f"run{r:02d}" for r in range(runs)]
+            [f"run{r:02d}" for r in range(cfg.runs)]
+        cpus(1)
         seed = cfg.hyperparams.master_seed
-        for r in range(runs):
+        for r in range(cfg.runs):
             single = dataclasses.replace(
                 cfg, runs=1, out_dir=str(tmp_path / f"single{r}"),
                 hyperparams=dataclasses.replace(cfg.hyperparams,
@@ -481,6 +485,51 @@ class TestRunsInProcesses:
             for name in ARTIFACTS:
                 assert (results[r].run_dir / name).read_bytes() == \
                     (alone.run_dir / name).read_bytes(), (r, name)
+
+    @pytest.mark.parametrize("kind, runs", [("mog", 3), ("libsvm", 2)])
+    def test_bytes_match_single_runs(self, tmp_path, cpus, two_cpus,
+                                     shard_pids, kind, runs):
+        doc = (tiny_config_doc(runs=runs) if kind == "mog"
+               else libsvm_config_doc(tmp_path, runs=runs))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        cfg = ExperimentConfig.load(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a fork from a threaded process
+            results = run_all(dataclasses.replace(
+                cfg, out_dir=str(tmp_path / "multi")))
+        assert multiprocessing.active_children() == []
+        pids = shard_pids()  # more runs than CPUs: one shard per run
+        assert sorted(pids) == [f"{r}-0-1" for r in range(runs)]
+        assert os.getpid() not in pids.values()
+        self.check_against_single_runs(cfg, results, tmp_path, cpus)
+
+    @pytest.mark.parametrize("kind, runs, n_cpus, shards", [
+        ("mog", 1, 2, 2), ("mog", 1, 3, 3), ("mog", 1, 5, 4),
+        ("libsvm", 1, 2, 2), ("libsvm", 1, 3, 3), ("libsvm", 1, 5, 4),
+        ("mog", 2, 4, 2)])
+    def test_shards_write_the_same_bytes(self, tmp_path, cpus, shard_pids,
+                                         kind, runs, n_cpus, shards):
+        """Trees i = j (mod J) train in shard j, J = min(num_trees,
+        CPUs // runs), and the run's artifacts are assembled here."""
+        doc = (tiny_config_doc(runs=runs) if kind == "mog"
+               else libsvm_config_doc(tmp_path, runs=runs))
+        doc["hyperparams"].update(num_trees=4, fringe_capacity=2)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        cfg = ExperimentConfig.load(path)
+        cpus(n_cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_all(dataclasses.replace(
+                cfg, out_dir=str(tmp_path / "sharded")))
+        assert multiprocessing.active_children() == []
+        pids = shard_pids()
+        assert sorted(pids) == [f"{r}-{j}-{shards}" for r in range(runs)
+                                for j in range(shards)]
+        assert os.getpid() not in pids.values()
+        self.check_against_single_runs(cfg, results, tmp_path, cpus)
+        assert shard_pids()["0-0-1"] == os.getpid()
 
     @pytest.mark.parametrize("error, code", [
         (InvariantViolation("boom"), 4), (ConfigError("boom"), 2),
@@ -523,6 +572,76 @@ class TestRunsInProcesses:
         assert main(["train", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err == "invariant violation: run00\n"
         assert failed.exists()
+
+    @staticmethod
+    def failing_shard(monkeypatch, failure):
+        """train_shard runs `failure(shard)` first, in its worker."""
+        real = orf.experiment.train_shard
+
+        def failing(config, ctx, r, shard=0, shards=1):
+            failure(shard)
+            return real(config, ctx, r, shard, shards)
+        monkeypatch.setattr(orf.experiment, "train_shard", failing)
+
+    @pytest.mark.parametrize("error, code", [
+        (InvariantViolation("boom"), 4), (ConfigError("boom"), 2),
+        (DataError("boom"), 3), (OSError(28, "boom"), 5)])
+    def test_failing_shard_keeps_exit_code(self, tmp_path, capsys,
+                                           monkeypatch, two_cpus, error,
+                                           code):
+        def fail(shard):
+            if shard == 1:
+                raise error
+        self.failing_shard(monkeypatch, fail)
+        cfg = write_config(tmp_path)  # 2 trees, 1 run: 2 shards
+        assert main(["train", "--config", str(cfg)]) == code
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "boom" in err
+        assert not (tmp_path / "out" / "run00" / "run.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_shard_wins(self, tmp_path, capsys, monkeypatch,
+                                      cpus):
+        """Shard 1 fails only after shard 2 has failed, and its error is
+        the one reported, as in a loop over the (run, shard) units."""
+        failed = tmp_path / "shard2.failed"
+
+        def fail(shard):
+            if shard == 2:
+                failed.touch()
+                raise DataError("shard 2")
+            if shard == 1:
+                deadline = time.monotonic() + 30
+                while not failed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise InvariantViolation("shard 1")
+        self.failing_shard(monkeypatch, fail)
+        doc = tiny_config_doc()
+        doc["hyperparams"]["num_trees"] = 4
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(doc))
+        cpus(3)
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == "invariant violation: shard 1\n"
+        assert failed.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_6(self, tmp_path, capsys, monkeypatch,
+                                 two_cpus):
+        """A worker that dies without raising ends the job with one line
+        and exit 6, and leaves its run unfinished."""
+        def die(shard):
+            if shard == 1:
+                os._exit(9)
+        self.failing_shard(monkeypatch, die)
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg)]) == 6
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("worker process died: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "run00" / "run.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_one_usable_cpu_stays_in_process(self, tmp_path, monkeypatch):
         monkeypatch.setattr(orf.experiment.os, "sched_getaffinity",

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +229,106 @@ class TestRngStream:
         clone.set_state(json.loads(json.dumps(rng.get_state())))
         assert [rng.uniform() for _ in range(50)] == [clone.uniform() for _ in range(50)]
         assert clone.child(1).uniform() == rng.child(1).uniform()
+
+
+class Unbuffered(RngStream):
+    """The stream without the uniform block: every draw is one call of a
+    plain `np.random.Generator(PCG64(SeedSequence(seed)))`. The methods
+    built on `uniform` and `randint` are RngStream's own."""
+
+    def __init__(self, seed):
+        self.plain = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed)))
+
+    def uniform(self):
+        return float(self.plain.random())
+
+    def randint(self, lo, hi):
+        return int(self.plain.integers(lo, hi))
+
+    def permutation(self, n):
+        return [int(i) for i in self.plain.permutation(n)]
+
+    def get_state(self):
+        st = self.plain.bit_generator.state
+        return [st["state"]["state"], st["has_uint32"], st["uinteger"]]
+
+    def set_state(self, position):
+        st = self.plain.bit_generator.state
+        st["state"]["state"], st["has_uint32"], st["uinteger"] = position
+        self.plain.bit_generator.state = st
+
+
+# (name, argument strategy) of each operation the differential test mixes
+RNG_OPS = st.one_of(
+    st.tuples(st.just("uniform"), st.integers(1, 150)),  # that many in a row
+    st.tuples(st.just("normal"), st.integers(1, 40)),
+    st.tuples(st.just("poisson"), st.sampled_from([0.0, 0.5, 3.0, 45.0])),
+    st.tuples(st.just("categorical"), st.integers(1, 6)),
+    st.tuples(st.just("randint"), st.sampled_from([1, 2, 5, 1000, 2 ** 40])),
+    st.tuples(st.just("sample_distinct"), st.integers(1, 12)),
+    st.tuples(st.just("permutation"), st.integers(0, 20)),
+    st.tuples(st.just("get_state"), st.none()),
+    st.tuples(st.just("set_state"), st.integers(0, 10 ** 6)))
+
+
+def _rng_op(rng, name, arg, saved):
+    if name == "uniform":
+        return [rng.uniform() for _ in range(arg)]
+    if name == "normal":
+        return [rng.normal(1.0, 2.0) for _ in range(arg)]
+    if name == "poisson":
+        return rng.poisson(arg, 99)
+    if name == "categorical":
+        return rng.categorical([1.0 / arg] * arg)
+    if name == "randint":
+        return rng.randint(3, 3 + arg)
+    if name == "sample_distinct":
+        return rng.sample_distinct(arg, arg // 2 + 1)
+    if name == "permutation":
+        return rng.permutation(arg)
+    if name == "get_state":
+        saved.append(rng.get_state())
+        return saved[-1]
+    if saved:  # set_state to a position taken earlier
+        rng.set_state(saved[arg % len(saved)])
+
+
+class TestBufferedRngStream:
+    """`uniform` reads from a block; every value and every saved position
+    must still be the unbuffered generator's."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           ops=st.lists(RNG_OPS, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_plain_generator(self, seed, ops):
+        buffered, plain = RngStream(seed), Unbuffered(seed)
+        saved_b, saved_p = [], []
+        for name, arg in ops:
+            assert _rng_op(buffered, name, arg, saved_b) == \
+                _rng_op(plain, name, arg, saved_p), name
+        assert buffered.get_state() == plain.get_state()
+        assert [buffered.uniform() for _ in range(70)] == \
+            [plain.uniform() for _ in range(70)]
+
+    def test_sync_keeps_a_pending_32_bit_half(self):
+        buffered, plain = RngStream(5), Unbuffered(5)
+        assert buffered.randint(0, 5) == plain.randint(0, 5)  # half pending
+        assert buffered.uniform() == plain.uniform()  # draws a whole block
+        state = buffered.get_state()
+        assert state == plain.get_state() and state[1] == 1
+        assert buffered.randint(0, 5) == plain.randint(0, 5)  # that half
+        assert buffered.get_state() == plain.get_state()
+
+    def test_set_state_drops_the_block(self):
+        rng, clone = RngStream(8), RngStream(8)
+        start = rng.get_state()
+        first = [rng.uniform() for _ in range(3)]
+        rng.set_state(start)
+        assert [rng.uniform() for _ in range(3)] == first
+        clone.set_state(rng.get_state())
+        assert [clone.uniform() for _ in range(100)] == \
+            [rng.uniform() for _ in range(100)]
 
 
 def _compensated_sum(values):
