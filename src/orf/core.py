@@ -245,50 +245,28 @@ class RngStream:
     saved position is the generator's alone: a stream is restored by
     seeding it again (`RngStream(seed).child(i)`) and calling `set_state`.
 
-    `uniform` reads from a block of BLOCK doubles drawn at once, which are
-    the doubles BLOCK calls of `Generator.random` give. Before any other
-    use of the generator (`randint`, `permutation`, `get_state`) the block's
-    unused draws are given back: the generator moves back over them and
-    gets its pending 32-bit half (`has_uint32`, `uinteger`) back, which the
-    move clears. So every value and every saved position is the unbuffered
-    generator's; `set_state` drops the block.
+    Every draw is one generator call. Uniforms read from a block, with the
+    unused ones given back (`advance` back, then the pending 32-bit half
+    put back) before any other draw, gave the same values and positions,
+    but that rewind costs about 5 us on every new leaf and raised the
+    median step's 99th percentile on configs/fig1_mog.json by about 20%.
     """
 
-    __slots__ = ("_seq", "_gen", "_block")
-    BLOCK = 64
+    __slots__ = ("_seq", "_gen")
 
     def __init__(self, seed: int, spawn_key=()):
         self._seq = np.random.SeedSequence(seed & (2 ** 64 - 1),
                                            spawn_key=spawn_key)
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
-        self._block: list[float] = []  # unused draws, the next one last
 
     def child(self, index: int) -> "RngStream":
         return RngStream(self._seq.entropy, self._seq.spawn_key + (index,))
 
     def uniform(self) -> float:
-        try:
-            return self._block.pop()
-        except IndexError:
-            self._block = self._gen.random(self.BLOCK).tolist()[::-1]
-            return self._block.pop()
-
-    def _sync(self) -> None:
-        """Give the block's unused draws back to the generator."""
-        unused = len(self._block)
-        if unused:
-            self._block = []
-            bits = self._gen.bit_generator
-            pending = bits.state
-            bits.advance(-unused)
-            st = bits.state
-            st["has_uint32"], st["uinteger"] = (pending["has_uint32"],
-                                                pending["uinteger"])
-            bits.state = st
+        return float(self._gen.random())
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi)."""
-        self._sync()
         return int(self._gen.integers(lo, hi))
 
     def poisson(self, lam: float, cap: int) -> int:
@@ -344,12 +322,10 @@ class RngStream:
         return pool[:k]
 
     def permutation(self, n: int) -> list[int]:
-        self._sync()
         return [int(i) for i in self._gen.permutation(n)]
 
     def get_state(self) -> list[int]:
         """PCG64's [state, has_uint32, uinteger]; the seed fixes the rest."""
-        self._sync()
         st = self._gen.bit_generator.state
         return [st["state"]["state"], st["has_uint32"], st["uinteger"]]
 
@@ -360,7 +336,6 @@ class RngStream:
                 and 0 <= position[1] <= 1 and 0 <= position[2] < 2 ** 32):
             raise ValueError(f"rng must be [state < 2**128, has_uint32 0 or "
                              f"1, uinteger < 2**32], got {position!r}")
-        self._block = []
         st = self._gen.bit_generator.state
         st["state"]["state"], st["has_uint32"], st["uinteger"] = position
         self._gen.bit_generator.state = st

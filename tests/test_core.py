@@ -231,10 +231,10 @@ class TestRngStream:
         assert clone.child(1).uniform() == rng.child(1).uniform()
 
 
-class Unbuffered(RngStream):
-    """The stream without the uniform block: every draw is one call of a
-    plain `np.random.Generator(PCG64(SeedSequence(seed)))`. The methods
-    built on `uniform` and `randint` are RngStream's own."""
+class Plain(RngStream):
+    """RngStream's draws made by hand on a plain
+    `np.random.Generator(PCG64(SeedSequence(seed)))`, one call per draw.
+    The methods built on `uniform` and `randint` are RngStream's own."""
 
     def __init__(self, seed):
         self.plain = np.random.Generator(
@@ -294,41 +294,32 @@ def _rng_op(rng, name, arg, saved):
         rng.set_state(saved[arg % len(saved)])
 
 
-class TestBufferedRngStream:
-    """`uniform` reads from a block; every value and every saved position
-    must still be the unbuffered generator's."""
+class TestRngStreamIsThePlainGenerator:
+    """Every value and every saved position of an RngStream is that of a
+    plain generator seeded the same way, whatever the mix of draws; a
+    faster draw path must keep this."""
 
     @given(seed=st.integers(0, 2 ** 64 - 1),
            ops=st.lists(RNG_OPS, max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_generator(self, seed, ops):
-        buffered, plain = RngStream(seed), Unbuffered(seed)
-        saved_b, saved_p = [], []
+        rng, plain = RngStream(seed), Plain(seed)
+        saved_r, saved_p = [], []
         for name, arg in ops:
-            assert _rng_op(buffered, name, arg, saved_b) == \
+            assert _rng_op(rng, name, arg, saved_r) == \
                 _rng_op(plain, name, arg, saved_p), name
-        assert buffered.get_state() == plain.get_state()
-        assert [buffered.uniform() for _ in range(70)] == \
+        assert rng.get_state() == plain.get_state()
+        assert [rng.uniform() for _ in range(70)] == \
             [plain.uniform() for _ in range(70)]
 
-    def test_sync_keeps_a_pending_32_bit_half(self):
-        buffered, plain = RngStream(5), Unbuffered(5)
-        assert buffered.randint(0, 5) == plain.randint(0, 5)  # half pending
-        assert buffered.uniform() == plain.uniform()  # draws a whole block
-        state = buffered.get_state()
+    def test_state_keeps_a_pending_32_bit_half(self):
+        rng, plain = RngStream(5), Plain(5)
+        assert rng.randint(0, 5) == plain.randint(0, 5)  # half pending
+        assert rng.uniform() == plain.uniform()
+        state = rng.get_state()
         assert state == plain.get_state() and state[1] == 1
-        assert buffered.randint(0, 5) == plain.randint(0, 5)  # that half
-        assert buffered.get_state() == plain.get_state()
-
-    def test_set_state_drops_the_block(self):
-        rng, clone = RngStream(8), RngStream(8)
-        start = rng.get_state()
-        first = [rng.uniform() for _ in range(3)]
-        rng.set_state(start)
-        assert [rng.uniform() for _ in range(3)] == first
-        clone.set_state(rng.get_state())
-        assert [clone.uniform() for _ in range(100)] == \
-            [rng.uniform() for _ in range(100)]
+        assert rng.randint(0, 5) == plain.randint(0, 5)  # that half
+        assert rng.get_state() == plain.get_state()
 
 
 def _compensated_sum(values):
