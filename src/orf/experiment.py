@@ -289,9 +289,11 @@ def train_shard(config: ExperimentConfig, ctx: DataContext, run_index: int,
                 [tree.predict_class(x) for x in xs],
                 probe_cells(tree, probes, clip_box)))
         per_cp.append(per_tree)
+    texts = []
+    while forest.trees:  # a tree goes once its document is text
+        texts.append(tree_text(forest.trees.pop(0)))
     return Shard(started, bayes_accuracy, clip_box,
-                 [p.y for p in test_points], checkpoints, per_cp,
-                 [tree_text(tree) for tree in forest.trees])
+                 [p.y for p in test_points], checkpoints, per_cp, texts)
 
 
 def write_run(config: ExperimentConfig, ctx: DataContext, run_index: int,
