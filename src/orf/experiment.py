@@ -6,15 +6,17 @@ row per split), activations.csv (one row per fringe activation), run.json
 bytes are a pure function of config + master seed, never of the process
 count. Every tree draws from its own stream, so `run_all` splits each
 run's trees into J = max(1, min(num_trees, usable CPUs // runs)) shards
-and trains the (run, shard) units in forked workers, none if only one
-CPU is usable or there is no fork. A shard draws its run's data again
-from the seed and hands back per-tree rows, counters, test predictions,
-probe cells and tree documents; `write_run` puts them in the order of one
-process and writes the artifacts, in the worker when J = 1.
+and trains the (run, shard) units in forked workers, or in this process
+if only one CPU is usable or there is no fork. A shard draws its run's
+data again from the seed and hands back per-tree rows, counters, test
+predictions, probe cells and tree documents; this process's `write_run`
+puts them in the order of one shard of all the trees and writes every
+artifact, so a worker touches no file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -263,7 +265,6 @@ def train_shard(config: ExperimentConfig, ctx: DataContext, run_index: int,
                                     config.clip_margin)
     tree_ids = range(shard, params.num_trees, shards)
     forest = OnlineForest(params, ctx.n_features, ctx.n_classes, tree_ids)
-    _run_dir(config, run_index).mkdir(parents=True, exist_ok=True)
     xs = [p.x for p in test_points]
     per_cp = []
     pos = 0
@@ -336,7 +337,8 @@ def write_run(config: ExperimentConfig, ctx: DataContext, run_index: int,
 
     split_rows.sort(key=lambda r: (r[0], r[1]))
     act_rows.sort(key=lambda r: (r[0], r[1]))
-    run_dir = _run_dir(config, run_index)  # the shards made it
+    run_dir = _run_dir(config, run_index)
+    run_dir.mkdir(parents=True, exist_ok=True)
     # every artifact is renamed into place once complete, and run.json goes
     # last: a run directory without it is unfinished and fails `diagnose`
     (run_dir / "run.json").unlink(missing_ok=True)
@@ -378,30 +380,27 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _unit(config: ExperimentConfig, ctx: DataContext, r: int, shard: int,
-          shards: int):
-    # pickled by name, so a worker calls the functions it has
-    if shards == 1:
-        return run_experiment(config, ctx, r)
-    return train_shard(config, ctx, r, shard, shards)
+def _unit(args) -> Shard:
+    return train_shard(*args)  # pickled by name; tests replace train_shard
 
 
 def run_all(config: ExperimentConfig) -> list[RunResult]:
-    """Every run of the job (see the module docstring). With J > 1 a run's
-    artifacts are written here once its last shard is in; the error raised
-    is that of the first failing unit in (run, shard) order."""
+    """Every run of the job (see the module docstring). The error raised is
+    that of the first failing unit or write in (run, shard) order, and the
+    units not yet started are then cancelled."""
     ctx = load_data(config)
     runs, cpus = config.runs, _usable_cpus()
     shards = max(1, min(config.hyperparams.num_trees, cpus // runs))
-    if cpus == 1 or runs * shards == 1:
-        return [run_experiment(config, ctx, r) for r in range(runs)]
-    units = [(r, j) for r in range(runs) for j in range(shards)]
-    n = len(units)
-    fork = multiprocessing.get_context("fork")  # spawn re-runs __main__
-    with ProcessPoolExecutor(min(n, cpus), mp_context=fork) as pool:
-        done = pool.map(_unit, [config] * n, [ctx] * n, *zip(*units),
-                        [shards] * n)
-        if shards == 1:
-            return list(done)
+    units = [(config, ctx, r, j, shards)
+             for r in range(runs) for j in range(shards)]
+    workers = min(len(units), cpus)
+    with contextlib.ExitStack() as stack:
+        if workers == 1:
+            done = map(_unit, units)
+        else:  # fork: spawn re-runs __main__
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            done = pool.map(_unit, units)
         return [write_run(config, ctx, r, [next(done) for _ in range(shards)])
                 for r in range(runs)]

@@ -332,7 +332,7 @@ class OnlineTree:
         c, nf, n = n_classes, n_features, len(doc["nodes"])
         lsrs, le, re = (slice(2 + a * c, 2 + b * c)
                         for a, b in ((0, 2), (2, 3), (3, 4)))
-        dim_ids, left_ids = set(range(nf)), range(1, n - 1, 2)
+        dim_ids, left_ids = range(nf), range(1, n - 1, 2)
         if not n:
             raise ValueError("a tree has no nodes")
         is_left = bytearray(n)  # children come in pairs (left, left + 1)
@@ -345,7 +345,7 @@ class OnlineTree:
                 dim, thr, left, right = (nd["dim"], nd["threshold"],
                                          nd["left"], nd["right"])
                 try:  # integers through their sum, as at a leaf
-                    ok = (type(dim + left + right) is int and dim in dim_ids
+                    ok = (type(dim + left + right) is int and 0 <= dim < nf
                           and left in left_ids and right - left == 1
                           and not is_left[left] and math.isfinite(thr))
                 except (TypeError, OverflowError):
@@ -365,8 +365,8 @@ class OnlineTree:
                 n_est = sum(est)
                 ok = (type(sum(dims, sum(stats, n_est + nd["depth"]
                                          + nd["created_at"]))) is int
-                      and len(est) == c and dim_ids.issuperset(dims)
-                      and nd["depth"] == depths[node_id])
+                      and len(est) == c and nd["depth"] == depths[node_id]
+                      and all(map(dim_ids.__contains__, dims)))
             except TypeError:
                 ok = False
             if not (ok and (active or type(stats) is list
@@ -383,7 +383,7 @@ class OnlineTree:
                     ok = type(sum(row[lsrs], row[0] + nle + nre)) is int
                 except TypeError:
                     ok = False
-                if not (ok and row[0] in dim_ids and is_number(row[1])):
+                if not (ok and 0 <= row[0] < nf and is_number(row[1])):
                     raise ValueError(f"node {node_id}: a row is malformed")
                 # a copy: the tree must not share lists with the document
                 leaf.candidate_splits.append(row + [nle, nre])

@@ -439,9 +439,9 @@ class TestCli:
 
 
 class TestRunsInProcesses:
-    """A job trains its (run, tree shard) units in worker processes; the
-    bytes are those of one `runs: 1` job per run, at master seed + r,
-    trained in this process."""
+    """A job trains its (run, tree shard) units in worker processes and
+    writes every run in this process; the bytes are those of one `runs: 1`
+    job per run, at master seed + r, trained in this process."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
@@ -487,21 +487,37 @@ class TestRunsInProcesses:
                     (alone.run_dir / name).read_bytes(), (r, name)
 
     @pytest.mark.parametrize("kind, runs", [("mog", 3), ("libsvm", 2)])
-    def test_bytes_match_single_runs(self, tmp_path, cpus, two_cpus,
-                                     shard_pids, kind, runs):
+    def test_bytes_match_single_runs(self, tmp_path, monkeypatch, cpus,
+                                     two_cpus, shard_pids, kind, runs):
+        """The units train in workers, and this process writes every
+        artifact: each CSV, forest and run.json goes through
+        `write_atomic`, which leaves the pid of each call in a file."""
         doc = (tiny_config_doc(runs=runs) if kind == "mog"
                else libsvm_config_doc(tmp_path, runs=runs))
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(doc))
         cfg = ExperimentConfig.load(path)
+        writes = tmp_path / "write-pids"
+        real = orf.experiment.write_atomic
+
+        def recording(path, data):
+            with open(writes, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real(path, data)
+        monkeypatch.setattr(orf.experiment, "write_atomic", recording)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a fork from a threaded process
+            # turns a warning in this process into an error; on Python
+            # 3.12+ it cannot reach the fork-with-threads DeprecationWarning,
+            # which os.fork drops when a filter makes it an error
+            warnings.simplefilter("error")
             results = run_all(dataclasses.replace(
                 cfg, out_dir=str(tmp_path / "multi")))
         assert multiprocessing.active_children() == []
         pids = shard_pids()  # more runs than CPUs: one shard per run
         assert sorted(pids) == [f"{r}-0-1" for r in range(runs)]
         assert os.getpid() not in pids.values()
+        # 3 CSVs, the forest and run.json per run
+        assert writes.read_text().split() == [str(os.getpid())] * (5 * runs)
         self.check_against_single_runs(cfg, results, tmp_path, cpus)
 
     @pytest.mark.parametrize("kind, runs, n_cpus, shards", [
@@ -553,35 +569,61 @@ class TestRunsInProcesses:
         assert not (tmp_path / "out" / "run01" / "run.json").exists()
         assert multiprocessing.active_children() == []
 
-    def test_first_failing_run_wins(self, tmp_path, capsys, monkeypatch,
-                                    two_cpus):
-        """run00 fails only after run01 has failed, and its error is the
-        one reported, as in a loop over the runs."""
-        failed = tmp_path / "run01.failed"
-
-        def failing(path, columns, rows):
-            if path.parent.name == "run01":
-                failed.touch()
-                raise DataError("run01")
-            deadline = time.monotonic() + 30
-            while not failed.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            raise InvariantViolation("run00")
-        monkeypatch.setattr(orf.experiment, "_write_csv", failing)
-        cfg = write_config(tmp_path, runs=2)
-        assert main(["train", "--config", str(cfg)]) == 4
-        assert capsys.readouterr().err == "invariant violation: run00\n"
-        assert failed.exists()
-
     @staticmethod
     def failing_shard(monkeypatch, failure):
-        """train_shard runs `failure(shard)` first, in its worker."""
+        """train_shard runs `failure(run, shard)` first, in its worker."""
         real = orf.experiment.train_shard
 
         def failing(config, ctx, r, shard=0, shards=1):
-            failure(shard)
+            failure(r, shard)
             return real(config, ctx, r, shard, shards)
         monkeypatch.setattr(orf.experiment, "train_shard", failing)
+
+    def test_first_failing_run_wins(self, tmp_path, capsys, monkeypatch,
+                                    two_cpus):
+        """Run 0 fails in its worker only after run 1 has failed in the
+        other, and its error is the one reported, as in a loop over the
+        runs."""
+        failed = tmp_path / "run1.failed"
+
+        def fail(r, shard):
+            if r == 1:
+                failed.touch()
+                raise DataError("run 1")
+            deadline = time.monotonic() + 30
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise InvariantViolation("run 0")
+        self.failing_shard(monkeypatch, fail)
+        cfg = write_config(tmp_path, runs=2)  # 2 runs at 2 CPUs: 1 shard
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err == "invariant violation: run 0\n"
+        assert failed.exists()
+        assert not (tmp_path / "out" / "run00").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_failed_write_cancels_queued_units(self, tmp_path, monkeypatch,
+                                               two_cpus, shard_pids):
+        """A write that fails in this process ends the job without training
+        the units still queued; only those already in a worker finish."""
+        def slow(r, shard):
+            if r:
+                time.sleep(0.5)
+        self.failing_shard(monkeypatch, slow)
+        real = orf.experiment._write_csv
+
+        def failing(path, columns, rows):
+            if path.parent.name == "run00":
+                raise OSError(28, "boom")
+            real(path, columns, rows)
+        monkeypatch.setattr(orf.experiment, "_write_csv", failing)
+        cfg = ExperimentConfig.load(write_config(tmp_path, runs=8))
+        with pytest.raises(OSError, match="boom"):
+            run_all(cfg)
+        assert multiprocessing.active_children() == []
+        trained = shard_pids()
+        assert "0-0-1" in trained and "7-0-1" not in trained
+        assert len(trained) < 8
 
     @pytest.mark.parametrize("error, code", [
         (InvariantViolation("boom"), 4), (ConfigError("boom"), 2),
@@ -589,7 +631,7 @@ class TestRunsInProcesses:
     def test_failing_shard_keeps_exit_code(self, tmp_path, capsys,
                                            monkeypatch, two_cpus, error,
                                            code):
-        def fail(shard):
+        def fail(r, shard):
             if shard == 1:
                 raise error
         self.failing_shard(monkeypatch, fail)
@@ -606,7 +648,7 @@ class TestRunsInProcesses:
         the one reported, as in a loop over the (run, shard) units."""
         failed = tmp_path / "shard2.failed"
 
-        def fail(shard):
+        def fail(r, shard):
             if shard == 2:
                 failed.touch()
                 raise DataError("shard 2")
@@ -630,7 +672,7 @@ class TestRunsInProcesses:
                                  two_cpus):
         """A worker that dies without raising ends the job with one line
         and exit 6, and leaves its run unfinished."""
-        def die(shard):
+        def die(r, shard):
             if shard == 1:
                 os._exit(9)
         self.failing_shard(monkeypatch, die)

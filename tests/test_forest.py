@@ -321,6 +321,18 @@ class TestSerialization:
                 key, f"^{key.split('.')[-1]} must be an integer")):
             OnlineForest.from_doc(doc)
 
+    @pytest.mark.parametrize("n_features", [10 ** 13, 2 ** 63])
+    def test_huge_n_features_loads(self, n_features):
+        """A dimension is checked against range(n_features), so the reader
+        builds nothing of that size: a forest of any width loads, and a
+        point of another width is then a ValueError."""
+        doc = grown_forest(num_trees=2).to_doc()
+        doc["n_features"] = n_features
+        forest = OnlineForest.from_doc(doc)
+        assert forest.n_features == n_features
+        with pytest.raises(ValueError, match=f"^expected {n_features} "):
+            forest.predict([0.5, 0.5])
+
     @pytest.mark.parametrize("rng", [
         [1.5, 0, 0], [-1, 0, 0], [2 ** 128, 0, 0], [2 ** 200, 0, 0],
         [0, 2, 0], [0, True, 0], [0, 0, -1], [0, 0, 2 ** 32], [0, 0, 2 ** 40],
